@@ -27,7 +27,6 @@ from .enumeration import (
     catalan,
     central_binomial,
     enumerate_av213,
-    enumerate_by_filter,
 )
 from .grid_graph import (
     DegreeHistogram,
@@ -60,7 +59,7 @@ from .recurrences import (
     internal_deg1_by_length,
     internal_min_by_length,
 )
-from .sampler import SampleReport, SplitTables, empirical_report, sample_av213
+from .sampler import SampleReport, empirical_report, sample_av213
 from .series import (
     IDENTITY_IDS,
     TruncatedSeries,

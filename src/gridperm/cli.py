@@ -1,7 +1,8 @@
 """Command-line front end: verification, tables, series checks, sampling.
 
 Exit codes: 0 on success, 1 when a requested verification fails, 2 for
-usage errors (including malformed permutation strings).
+usage errors (including malformed permutation strings and a
+non-integer GRIDPERM_BRUTE_CAP).
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ import os
 import sys
 
 from . import closed_forms, recurrences, series
-from .enumeration import aggregate_brute, central_binomial
+from .enumeration import DEFAULT_BRUTE_CAP, aggregate_brute, central_binomial
 from .grid_graph import degree_histogram, render_ascii
 from .permutations import parse_permutation
 from .sampler import empirical_report
 
-DEFAULT_BRUTE_CAP = 14
 BRUTE_CAP_ENV = "GRIDPERM_BRUTE_CAP"
 MODES = ("brute", "recurrence", "closed")
 STAT_ORDER = ("class_size", "H", "V", "Sigma", "Q1", "Q2", "Q3", "Q4", "D", "A", "J", "P")
@@ -41,12 +41,7 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _brute_cap_default() -> int:
-    env = os.environ.get(BRUTE_CAP_ENV)
-    return int(env) if env else DEFAULT_BRUTE_CAP
-
-
-def _mode_values(mode, n_min, n_max, cap, corrupt):
+def _mode_values(mode, n_min, n_max, cap):
     """Per-n statistic values for one computation route."""
     values: dict[int, dict[str, int]] = {}
     if mode == "brute":
@@ -64,10 +59,7 @@ def _mode_values(mode, n_min, n_max, cap, corrupt):
             values[n] = {stat: sequences[stat][n] for stat in RECURRENCE_STATS}
     else:
         for n in range(max(n_min, 2), n_max + 1):
-            row = closed_forms.closed_aggregate(n).to_row()
-            if corrupt:
-                row["H"] += 1
-            values[n] = row
+            values[n] = closed_forms.closed_aggregate(n).to_row()
     return values
 
 
@@ -91,10 +83,7 @@ def cmd_verify(args) -> int:
             f"lower --n-max or raise --brute-cap"
         )
     modes = [m for m in MODES if m in modes]
-    values = {
-        mode: _mode_values(mode, args.n_min, args.n_max, cap, args.corrupt_closed)
-        for mode in modes
-    }
+    values = {mode: _mode_values(mode, args.n_min, args.n_max, cap) for mode in modes}
     rows = []
     first_failure = None
     for n in range(args.n_min, args.n_max + 1):
@@ -206,7 +195,7 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(brute_cap: int) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridperm",
         description="Exact degree statistics of permutation grid graphs over Av_n(213)",
@@ -222,11 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of brute,recurrence,closed",
     )
     verify.add_argument("--format", choices=("csv", "json"), default="csv")
-    verify.add_argument("--brute-cap", type=int, default=_brute_cap_default())
+    verify.add_argument("--brute-cap", type=int, default=brute_cap)
     verify.add_argument("--force", action="store_true")
-    verify.add_argument(
-        "--corrupt-closed", action="store_true", help=argparse.SUPPRESS
-    )
     verify.set_defaults(handler=cmd_verify)
 
     table = sub.add_parser("table", help="closed-form totals per n")
@@ -259,7 +245,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    env = os.environ.get(BRUTE_CAP_ENV)
+    try:
+        brute_cap = int(env) if env else DEFAULT_BRUTE_CAP
+    except ValueError:
+        return _usage_error(f"{BRUTE_CAP_ENV} must be an integer, got {env!r}")
+    args = _build_parser(brute_cap).parse_args(argv)
     return args.handler(args)
 
 

@@ -1,23 +1,18 @@
 """Catalan counting, exhaustive generation of Av_n(213), and brute aggregates.
 
-The primary generator builds each 213-avoider exactly once from the
-block decomposition (output-linear, no filtering).  A factorial filter
-over all of S_n doubles as an oracle for any length-3 pattern and is
-hard-capped at n <= 8.
+The generator builds each 213-avoider exactly once from the block
+decomposition (output-linear, no filtering).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations as _all_words
 from typing import Iterable, Iterator, Sequence
 
 from .grid_graph import degree_histogram, is_internal_peak_deg1
-from .permutations import contains_pattern
 
 DEFAULT_BRUTE_CAP = 14
-FILTER_CAP = 8
 
 CSV_FIELDS = (
     "n",
@@ -85,22 +80,6 @@ def enumerate_av213(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]
             f"n={n} exceeds the brute-force cap {limit}; pass cap explicitly to raise it"
         )
     return _generate(n)
-
-
-def enumerate_by_filter(n: int, pattern: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All of Av_n(pattern) by filtering the n! words with the triple oracle.
-
-    Exists purely as an independent check on :func:`enumerate_av213`
-    and on the reversal bijection with Av_n(312); hard-capped at n <= 8.
-    """
-    if n > FILTER_CAP:
-        raise ValueError(f"filter oracle capped at n <= {FILTER_CAP}, got {n}")
-    pattern = tuple(pattern)
-    return (
-        word
-        for word in _all_words(range(1, n + 1))
-        if not contains_pattern(word, pattern)
-    )
 
 
 @dataclass(frozen=True)

@@ -1,92 +1,53 @@
 """Exact uniform random generation over Av_n(213) and empirical reports.
 
-The split under the minimum is chosen with probability
-C_i * C_{n-1-i} / C_n using integer comparisons against a uniform
-integer below C_n, so uniformity is exact at any size; no floating
-point enters the sampler.  Construction uses an explicit work stack,
-keeping sizes in the hundreds safe from recursion limits.
+A draw marks n up-steps among 2n+1 steps, uniformly over all placements.
+By the cycle lemma exactly one of the 2n+1 rotations is a Dyck path
+followed by one down-step, so the Dyck path is uniform over the C_n
+paths.  Reading the path as stack moves on 1..n (push on an up-step,
+pop to the output on a down-step) gives a 312-avoider, one per path;
+its reversal is the 213-avoider.  A draw takes O(n) time and memory,
+uses no big integers and no floating point, and needs no recursion.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from .enumeration import catalan_list
 from .grid_graph import degree_histogram_fast
 
-GENERATOR_NAME = "mt19937 (random.Random)"
+GENERATOR_NAME = "cycle lemma + stack word, mt19937 (random.Random)"
 
 
-class SplitTables:
-    """Catalan numbers plus cumulative split weights, shared across draws."""
-
-    def __init__(self, n_max: int):
-        self.n_max = n_max
-        self.catalans = catalan_list(max(n_max, 0))
-        self._cumulative: dict[int, list[int]] = {}
-
-    def cumulative(self, m: int) -> list[int]:
-        """Cumulative sums of C_i * C_{m-1-i} for i = 0..m-1."""
-        table = self._cumulative.get(m)
-        if table is None:
-            cat = self.catalans
-            acc = 0
-            table = []
-            for i in range(m):
-                acc += cat[i] * cat[m - 1 - i]
-                table.append(acc)
-            if table[-1] != cat[m]:
-                raise RuntimeError(f"split weights at m={m} do not sum to C_m")
-            self._cumulative[m] = table
-        return table
-
-
-def _draw_below(rng: random.Random, bound: int) -> int:
-    # uniform integer in [0, bound) by rejection on fixed-width words
-    if bound <= 1:
-        return 0
-    bits = bound.bit_length()
-    while True:
-        u = rng.getrandbits(bits)
-        if u < bound:
-            return u
-
-
-def sample_av213(
-    n: int, rng: random.Random, tables: SplitTables | None = None
-) -> tuple[int, ...]:
+def sample_av213(n: int, rng: random.Random) -> tuple[int, ...]:
     """One permutation distributed exactly uniformly on Av_n(213).
 
-    Each block picks the position of its minimum with the exact Catalan
-    split weights, then recurses into the two sub-blocks (left block
-    first) via an explicit stack.
+    ``rng.sample`` draws through ``_randbelow``, so every placement of
+    the up-steps is exactly equally likely, and each member of the class
+    is the image of exactly 2n+1 placements.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if tables is None:
-        tables = SplitTables(n)
-    if tables.n_max < n:
-        raise ValueError(f"tables cover n <= {tables.n_max}, need {n}")
-    word = [0] * n
-    stack = [(0, n, 0)]
-    while stack:
-        start, m, offset = stack.pop()
-        if m == 0:
-            continue
-        if m == 1:
-            word[start] = offset + 1
-            continue
-        u = _draw_below(rng, tables.catalans[m])
-        i = bisect_right(tables.cumulative(m), u)
-        j = m - 1 - i
-        word[start + i] = offset + 1
-        # push right first so the left block is expanded next
-        stack.append((start + i + 1, j, offset + 1))
-        stack.append((start, i, offset + j + 1))
+    steps = [-1] * (2 * n + 1)
+    for i in rng.sample(range(2 * n + 1), n):
+        steps[i] = 1
+    # the path starts just after the first lowest point; the last
+    # step of the rotation, steps[start - 1], is the trailing down-step
+    heights = list(accumulate(steps))
+    start = heights.index(min(heights)) + 1
+    stack = []
+    word = []
+    value = 0
+    for step in steps[start:] + steps[: start - 1]:
+        if step > 0:
+            value += 1
+            stack.append(value)
+        else:
+            word.append(stack.pop())
+    word.reverse()
     return tuple(word)
 
 
@@ -125,13 +86,12 @@ def empirical_report(n: int, sample_count: int, seed: int) -> SampleReport:
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
     rng = random.Random(seed)
-    tables = SplitTables(n)
     total_vertices = n * (n + 1) // 2
     sums = [0] * 5
     sums_sq = [0] * 5
     h_sum = 0
     for _ in range(sample_count):
-        word = sample_av213(n, rng, tables)
+        word = sample_av213(n, rng)
         hist = degree_histogram_fast(word)
         for r in range(5):
             c = hist.counts[r]

@@ -10,12 +10,30 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from gridperm import aggregate_brute
+from gridperm import aggregate_brute, contains_pattern
+
+FILTER_CAP = 8
 
 
 def all_permutations(n):
     """Every word of S_n as a 1-based tuple, in lexicographic order."""
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
+
+
+def enumerate_by_filter(n, pattern):
+    """All of Av_n(pattern) by filtering the n! words with the triple oracle.
+
+    An independent check on ``enumerate_av213`` and on the reversal
+    bijection with Av_n(312); hard-capped at n <= 8.
+    """
+    if n > FILTER_CAP:
+        raise ValueError(f"filter oracle capped at n <= {FILTER_CAP}, got {n}")
+    pattern = tuple(pattern)
+    return (
+        word
+        for word in itertools.permutations(range(1, n + 1))
+        if not contains_pattern(word, pattern)
+    )
 
 
 def adjacency_histogram(word):

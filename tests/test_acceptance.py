@@ -13,10 +13,9 @@ from collections import Counter
 
 from scipy.stats import chisquare
 
-from conftest import catalan_by_convolution
+from conftest import catalan_by_convolution, enumerate_by_filter
 from gridperm import (
     IDENTITY_IDS,
-    SplitTables,
     aggregate_brute,
     aggregate_stats,
     asymptotic_proportions,
@@ -27,7 +26,6 @@ from gridperm import (
     deg4_total,
     empirical_report,
     enumerate_av213,
-    enumerate_by_filter,
     horizontal_edges_total,
     proportions,
     sample_av213,
@@ -161,8 +159,7 @@ def test_criterion_8_sampler():
     started = time.time()
     for n in (3, 4, 5):
         rng = random.Random(SEED + n)
-        tables = SplitTables(n)
-        counts = Counter(sample_av213(n, rng, tables) for _ in range(100_000))
+        counts = Counter(sample_av213(n, rng) for _ in range(100_000))
         members = list(enumerate_av213(n))
         assert set(counts) <= set(members)
         observed = [counts.get(word, 0) for word in members]

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
+from gridperm import closed_forms
 from gridperm.cli import main
 
 
@@ -48,17 +50,16 @@ def test_verify_three_modes(capsys):
     assert pairs == {"brute/recurrence", "brute/closed", "recurrence/closed"}
 
 
-def test_verify_corrupt_hook_fails_and_names_first_mismatch(capsys):
+def test_verify_corrupt_hook_fails_and_names_first_mismatch(capsys, monkeypatch):
+    exact = closed_forms.closed_aggregate
+
+    def corrupted(n):
+        stats = exact(n)
+        return dataclasses.replace(stats, horizontal_edges=stats.horizontal_edges + 1)
+
+    monkeypatch.setattr(closed_forms, "closed_aggregate", corrupted)
     code, out, err = run_cli(
-        capsys,
-        "verify",
-        "--n-min",
-        "2",
-        "--n-max",
-        "5",
-        "--modes",
-        "recurrence,closed",
-        "--corrupt-closed",
+        capsys, "verify", "--n-min", "2", "--n-max", "5", "--modes", "recurrence,closed"
     )
     assert code == 1
     assert "n=2" in err and "statistic=H" in err
@@ -232,6 +233,17 @@ def test_brute_cap_env_var(capsys, monkeypatch):
         capsys, "verify", "--n-min", "2", "--n-max", "5", "--modes", "brute,closed"
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify", "--n-max", "4"), ("degrees", "4132")], ids=["verify", "degrees"]
+)
+def test_brute_cap_env_var_must_be_an_integer(capsys, monkeypatch, argv):
+    monkeypatch.setenv("GRIDPERM_BRUTE_CAP", "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: GRIDPERM_BRUTE_CAP must be an integer, got 'abc'\n"
 
 
 def test_verify_byte_identical_reruns(capsys):

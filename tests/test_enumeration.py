@@ -6,6 +6,7 @@ from conftest import (
     all_permutations,
     brute_stats,
     catalan_by_convolution,
+    enumerate_by_filter,
     pascal_binomial,
 )
 from gridperm import (
@@ -14,7 +15,6 @@ from gridperm import (
     central_binomial,
     contains_pattern,
     enumerate_av213,
-    enumerate_by_filter,
     reverse,
 )
 from gridperm.enumeration import CSV_FIELDS

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from collections import Counter
@@ -7,8 +8,6 @@ from collections import Counter
 import pytest
 
 from gridperm import (
-    SplitTables,
-    catalan,
     contains_213,
     empirical_report,
     enumerate_av213,
@@ -28,26 +27,38 @@ def test_degenerate_sizes():
 
 def test_samples_are_class_members():
     rng = random.Random(SEED)
-    tables = SplitTables(12)
     for n in (2, 5, 9, 12):
         for _ in range(50):
-            word = sample_av213(n, rng, tables)
+            word = sample_av213(n, rng)
             assert sorted(word) == list(range(1, n + 1))
             assert not contains_213(word)
 
 
-def test_split_tables_validate_coverage():
-    tables = SplitTables(4)
-    with pytest.raises(ValueError):
-        sample_av213(6, random.Random(0), tables)
-    assert tables.cumulative(4)[-1] == catalan(4)
+class PlacementRng:
+    """Stands in for ``random.Random``: ``sample`` returns a fixed placement."""
+
+    def __init__(self, placement):
+        self.placement = placement
+
+    def sample(self, population, k):
+        assert len(population) == 2 * k + 1 == 2 * len(self.placement) + 1
+        return list(self.placement)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_every_placement_maps_onto_the_class_evenly(n):
+    counts = Counter(
+        sample_av213(n, PlacementRng(placement))
+        for placement in itertools.combinations(range(2 * n + 1), n)
+    )
+    assert set(counts) == set(enumerate_av213(n))
+    assert set(counts.values()) == {2 * n + 1}
 
 
 def test_small_class_frequencies_are_flat():
     rng = random.Random(SEED)
-    tables = SplitTables(3)
     draws = 20_000
-    counts = Counter(sample_av213(3, rng, tables) for _ in range(draws))
+    counts = Counter(sample_av213(3, rng) for _ in range(draws))
     assert set(counts) == set(enumerate_av213(3))
     expected = draws / 5
     for word, seen in counts.items():
@@ -101,8 +112,8 @@ def test_report_fields_round_trip_to_json():
 
 
 def test_deep_words_need_no_recursion():
-    word = sample_av213(600, random.Random(7), SplitTables(600))
-    assert sorted(word) == list(range(1, 601))
+    word = sample_av213(100_000, random.Random(7))
+    assert sorted(word) == list(range(1, 100_001))
     assert not contains_213(word)
 
 
