@@ -45,7 +45,6 @@ from .permutations import (
     compose,
     contains_213,
     contains_312,
-    contains_pattern,
     decompose_by_min,
     format_permutation,
     parse_permutation,
@@ -63,11 +62,10 @@ from .sampler import SampleReport, empirical_report, sample_av213
 from .series import (
     IDENTITY_IDS,
     TruncatedSeries,
-    binomial_power,
     catalan_series,
     check_identity,
+    half_power,
     residual_report,
-    sqrt_one_minus_4x,
 )
 
 __version__ = "0.1.0"

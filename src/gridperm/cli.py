@@ -1,8 +1,12 @@
 """Command-line front end: verification, tables, series checks, sampling.
 
-Exit codes: 0 on success, 1 when a requested verification fails, 2 for
-usage errors (including malformed permutation strings and a
-non-integer GRIDPERM_BRUTE_CAP).
+Exit codes: 0 on success; 1 when a requested verification fails, which
+is either a mismatch between routes or an exact check raising
+RuntimeError (integrality, the Q2/Q3 two-route check, a series
+coefficient or the Q4X constant term), reported as one ``FAIL:`` line
+on stderr; 2 for usage errors (including malformed permutation strings,
+fewer than two distinct verify modes and a non-integer
+GRIDPERM_BRUTE_CAP).
 """
 
 from __future__ import annotations
@@ -64,25 +68,26 @@ def _mode_values(mode, n_min, n_max, cap):
 
 
 def cmd_verify(args) -> int:
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    if len(modes) < 2:
-        return _usage_error("verify needs at least two modes to compare")
-    for mode in modes:
+    requested = [m.strip() for m in args.modes.split(",") if m.strip()]
+    for mode in requested:
         if mode not in MODES:
             return _usage_error(f"unknown mode {mode!r}; choose from {', '.join(MODES)}")
+    modes = [m for m in MODES if m in requested]
+    if len(modes) < 2:
+        return _usage_error("verify needs at least two distinct modes to compare")
     if args.n_min > args.n_max or args.n_min < 0:
         return _usage_error("need 0 <= n-min <= n-max")
     cap = args.brute_cap
-    if cap > DEFAULT_BRUTE_CAP and not args.force:
-        return _usage_error(
-            f"brute cap {cap} exceeds {DEFAULT_BRUTE_CAP}; pass --force to confirm"
-        )
-    if "brute" in modes and args.n_max > cap:
-        return _usage_error(
-            f"brute mode requested up to n={args.n_max}, beyond the cap {cap}; "
-            f"lower --n-max or raise --brute-cap"
-        )
-    modes = [m for m in MODES if m in modes]
+    if "brute" in modes:
+        if cap > DEFAULT_BRUTE_CAP and not args.force:
+            return _usage_error(
+                f"brute cap {cap} exceeds {DEFAULT_BRUTE_CAP}; pass --force to confirm"
+            )
+        if args.n_max > cap:
+            return _usage_error(
+                f"brute mode requested up to n={args.n_max}, beyond the cap {cap}; "
+                f"lower --n-max or raise --brute-cap"
+            )
     values = {mode: _mode_values(mode, args.n_min, args.n_max, cap) for mode in modes}
     rows = []
     first_failure = None
@@ -251,7 +256,13 @@ def main(argv=None) -> int:
     except ValueError:
         return _usage_error(f"{BRUTE_CAP_ENV} must be an integer, got {env!r}")
     args = _build_parser(brute_cap).parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except RuntimeError as exc:
+        # an exact check failed: integrality, the Q2/Q3 two-route check,
+        # a series coefficient or the Q4X constant term
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

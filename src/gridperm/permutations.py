@@ -51,32 +51,6 @@ def reverse(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(word[::-1])
 
 
-def contains_pattern(word: Sequence[int], pattern: Sequence[int]) -> bool:
-    """Exhaustive check for a length-3 pattern occurrence.
-
-    True iff some subsequence of ``word`` is order-isomorphic to
-    ``pattern``.  This is the O(n^3) oracle; it is authoritative in
-    tests, with :func:`contains_213` / :func:`contains_312` as the fast
-    production routes.
-    """
-    pattern = tuple(pattern)
-    if len(pattern) != 3:
-        raise ValueError(f"pattern must have length 3, got {len(pattern)}")
-    check_permutation(pattern)
-    lt01 = pattern[0] < pattern[1]
-    lt02 = pattern[0] < pattern[2]
-    lt12 = pattern[1] < pattern[2]
-    n = len(word)
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            if (word[i] < word[j]) != lt01:
-                continue
-            for k in range(j + 1, n):
-                if (word[i] < word[k]) == lt02 and (word[j] < word[k]) == lt12:
-                    return True
-    return False
-
-
 def contains_213(word: Sequence[int]) -> bool:
     """Linear-time 213 check via a monotone stack.
 

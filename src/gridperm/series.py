@@ -1,18 +1,20 @@
-"""Dense truncated power series over exact rationals, plus identity checks.
+"""Dense truncated power series over plain integers, plus identity checks.
 
-A :class:`TruncatedSeries` stores coefficients 0..order and keeps every
-operation exact; binary operations on mismatched orders truncate to the
-shorter one.  On top of the arithmetic sit the algebraic elements used
-by the verification suite (the Catalan series, sqrt(1-4x) and its
-negative powers) and :func:`check_identity`, which rebuilds each
-generating-function identity from the recurrence outputs and returns
-the left-minus-right residual.
+A :class:`TruncatedSeries` stores integer coefficients 0..order and
+keeps every operation exact; binary operations on mismatched orders
+truncate to the shorter one.  Every series the identities use has
+integer coefficients, so no rational arithmetic is needed.  On top of
+the arithmetic sit the algebraic elements used by the verification
+suite (the Catalan series and the powers (1-4x)^(k/2)) and
+:func:`check_identity`, which rebuilds each generating-function
+identity from the recurrence outputs and returns the left-minus-right
+residual.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .enumeration import catalan_list
@@ -27,22 +29,23 @@ IDENTITY_IDS = ("HFE", "HX", "PX", "Q4FE", "Q4X")
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Exact power-series prefix: coefficients of x^0 .. x^order."""
+    """Exact power-series prefix: integer coefficients of x^0 .. x^order."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("a series needs at least its constant term")
+        # operator.index rejects rationals and floats rather than coercing them
         object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
+            self, "coeffs", tuple(operator.index(c) for c in self.coeffs)
         )
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, index: int) -> Fraction:
+    def __getitem__(self, index: int) -> int:
         return self.coeffs[index]
 
     def is_zero(self) -> bool:
@@ -75,14 +78,14 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             k = min(self.order, other.order)
-            out = [Fraction(0)] * (k + 1)
+            out = [0] * (k + 1)
             for i, a in enumerate(self.coeffs[: k + 1]):
                 if a == 0:
                     continue
                 for j in range(k + 1 - i):
                     out[i + j] += a * other.coeffs[j]
             return TruncatedSeries(tuple(out))
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return TruncatedSeries(tuple(c * other for c in self.coeffs))
         return NotImplemented
 
@@ -92,26 +95,13 @@ class TruncatedSeries:
         """Termwise derivative; the order drops by one.
 
         >>> polynomial([0, 0, 1], 3).differentiate().coeffs
-        (Fraction(0, 1), Fraction(2, 1), Fraction(0, 1))
+        (0, 2, 0)
         """
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 series")
         return TruncatedSeries(
             tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1)
         )
-
-    def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        if self.coeffs[0] == 0:
-            raise ValueError("cannot invert a series with zero constant term")
-        lead = 1 / self.coeffs[0]
-        out = [lead]
-        for m in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(1, m + 1):
-                acc += self.coeffs[k] * out[m - k]
-            out.append(-lead * acc)
-        return TruncatedSeries(tuple(out))
 
     def divide_by_x(self) -> "TruncatedSeries":
         """Shift the series down one power; requires a zero constant term."""
@@ -122,54 +112,48 @@ class TruncatedSeries:
         return TruncatedSeries(self.coeffs[1:])
 
 
-def from_values(values: Iterable) -> TruncatedSeries:
+def from_values(values: Iterable[int]) -> TruncatedSeries:
     """Build a series whose coefficient at x^k is values[k]."""
-    return TruncatedSeries(tuple(Fraction(v) for v in values))
+    return TruncatedSeries(tuple(values))
 
 
 def zero(order: int) -> TruncatedSeries:
-    return TruncatedSeries((Fraction(0),) * (order + 1))
+    return TruncatedSeries((0,) * (order + 1))
 
 
 def one(order: int) -> TruncatedSeries:
     return polynomial([1], order)
 
 
-def polynomial(coefficients: Sequence, order: int) -> TruncatedSeries:
+def polynomial(coefficients: Sequence[int], order: int) -> TruncatedSeries:
     """The polynomial with the given low-order coefficients, padded with zeros."""
-    coeffs = [Fraction(c) for c in coefficients[: order + 1]]
-    coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
-    return TruncatedSeries(tuple(coeffs))
+    coeffs = tuple(coefficients[: order + 1])
+    return TruncatedSeries(coeffs + (0,) * (order + 1 - len(coeffs)))
 
 
-def one_minus_4x(order: int) -> TruncatedSeries:
-    return polynomial([1, -4], order)
+def half_power(k: int, order: int) -> TruncatedSeries:
+    """(1 - 4x)^(k/2) for any integer k.
 
+    The coefficient at x^m is binom(k/2, m) (-4)^m, built incrementally
+    by c_m = c_{m-1} (-2)(k - 2m + 2) / m.  Every such coefficient is an
+    integer, so each division is exact; a remainder raises RuntimeError.
+    k = 1 is sqrt(1 - 4x), k = -1 has the central binomials as
+    coefficients, k = -3 has (2m + 1) times them and k = -2 the powers
+    of four.
 
-def _binomial_expansion(exponent: Fraction, order: int) -> TruncatedSeries:
-    # (1 - 4x)^exponent: coefficient at x^m is binom(exponent, m) (-4)^m,
-    # built incrementally so each coefficient is auditable on its own
-    coeffs = [Fraction(1)]
-    for m in range(1, order + 1):
-        coeffs.append(coeffs[-1] * (exponent - m + 1) / m * -4)
-    return TruncatedSeries(tuple(coeffs))
-
-
-def sqrt_one_minus_4x(order: int) -> TruncatedSeries:
-    """Expansion of sqrt(1 - 4x); its square is 1 - 4x through the order."""
-    return _binomial_expansion(Fraction(1, 2), order)
-
-
-def binomial_power(exponent: Fraction, order: int) -> TruncatedSeries:
-    """(1 - 4x)^exponent for exponent -1/2 or -3/2.
-
-    The -1/2 power has the central binomials as coefficients; the -3/2
-    power has (2m + 1) times the central binomials.
+    >>> half_power(1, 4).coeffs
+    (1, -2, -2, -4, -10)
     """
-    exponent = Fraction(exponent)
-    if exponent not in (Fraction(-1, 2), Fraction(-3, 2)):
-        raise ValueError(f"unsupported exponent {exponent}; use -1/2 or -3/2")
-    return _binomial_expansion(exponent, order)
+    k = operator.index(k)
+    coeffs = [1]
+    for m in range(1, order + 1):
+        c, rem = divmod(coeffs[-1] * -2 * (k - 2 * m + 2), m)
+        if rem:
+            raise RuntimeError(
+                f"coefficient {m} of (1 - 4x)^({k}/2) is not an integer"
+            )
+        coeffs.append(c)
+    return TruncatedSeries(tuple(coeffs))
 
 
 def catalan_series(order: int) -> TruncatedSeries:
@@ -179,7 +163,7 @@ def catalan_series(order: int) -> TruncatedSeries:
     the stated order.
 
     >>> catalan_series(4).coeffs
-    (Fraction(1, 1), Fraction(1, 1), Fraction(2, 1), Fraction(5, 1), Fraction(14, 1))
+    (1, 1, 2, 5, 14)
     """
     return from_values(catalan_list(order))
 
@@ -203,7 +187,7 @@ def _residual_hfe(order: int) -> TruncatedSeries:
 def _residual_hx(order: int) -> TruncatedSeries:
     x = _x(order)
     h = from_values(horizontal_edges_by_length(order))
-    rhs = x * binomial_power(Fraction(-3, 2), order) - x * one_minus_4x(order).invert()
+    rhs = x * half_power(-3, order) - x * half_power(-2, order)
     return h - rhs
 
 
@@ -234,7 +218,7 @@ def _residual_q4fe(order: int) -> TruncatedSeries:
 
 def _residual_q4x(order: int) -> TruncatedSeries:
     k = order + 1
-    root = sqrt_one_minus_4x(k)
+    root = half_power(1, k)
     numerator = (
         polynomial([5, -50, 157, -150, 8], k)
         + polynomial([-5, 40, -87, 36], k) * root
@@ -245,10 +229,11 @@ def _residual_q4x(order: int) -> TruncatedSeries:
         raise RuntimeError(
             f"closed-form numerator has nonzero constant term {numerator[0]}"
         )
-    inv = one_minus_4x(k).invert()
-    closed = numerator.divide_by_x() * inv * inv * Fraction(1, 2)
+    # Q4X is numerator / (2x (1 - 4x)^2); the residual compares 2 Q4 with
+    # the rest, so a failing residual is twice the Q4 discrepancy
+    closed = numerator.divide_by_x() * half_power(-4, k)
     q4 = from_values(deg4_by_length(order))
-    return (q4 - closed).truncate(order)
+    return (2 * q4 - closed).truncate(order)
 
 
 _IDENTITY_BUILDERS: dict[str, Callable[[int], TruncatedSeries]] = {
@@ -284,11 +269,7 @@ def residual_summary(name: str, residual: TruncatedSeries) -> dict:
         "identity": name,
         "order": residual.order,
         "max_nonzero_index": nonzero[-1] if nonzero else -1,
-        "first_nonzero": (
-            f"{residual[nonzero[0]].numerator}/{residual[nonzero[0]].denominator}"
-            if nonzero
-            else None
-        ),
+        "first_nonzero": f"{residual[nonzero[0]]}/1" if nonzero else None,
     }
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from gridperm import aggregate_brute, contains_pattern
+from gridperm import aggregate_brute
+from gridperm.permutations import check_permutation
 
 FILTER_CAP = 8
 
@@ -18,6 +19,32 @@ FILTER_CAP = 8
 def all_permutations(n):
     """Every word of S_n as a 1-based tuple, in lexicographic order."""
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
+
+
+def contains_pattern(word, pattern):
+    """Exhaustive check for a length-3 pattern occurrence.
+
+    True iff some subsequence of ``word`` is order-isomorphic to
+    ``pattern``.  This is the O(n^3) oracle; it is authoritative in
+    tests, with ``contains_213`` / ``contains_312`` as the fast
+    production routes.
+    """
+    pattern = tuple(pattern)
+    if len(pattern) != 3:
+        raise ValueError(f"pattern must have length 3, got {len(pattern)}")
+    check_permutation(pattern)
+    lt01 = pattern[0] < pattern[1]
+    lt02 = pattern[0] < pattern[2]
+    lt12 = pattern[1] < pattern[2]
+    n = len(word)
+    for i in range(n - 2):
+        for j in range(i + 1, n - 1):
+            if (word[i] < word[j]) != lt01:
+                continue
+            for k in range(j + 1, n):
+                if (word[i] < word[k]) == lt02 and (word[j] < word[k]) == lt12:
+                    return True
+    return False
 
 
 def enumerate_by_filter(n, pattern):

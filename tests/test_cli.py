@@ -65,6 +65,25 @@ def test_verify_corrupt_hook_fails_and_names_first_mismatch(capsys, monkeypatch)
     assert "n=2" in err and "statistic=H" in err
 
 
+def test_failed_exact_check_exits_one_without_traceback(capsys, monkeypatch):
+    exact = closed_forms.deg4_total
+    monkeypatch.setattr(closed_forms, "deg4_total", lambda n: exact(n) + 1)
+    code, out, err = run_cli(
+        capsys, "verify", "--n-min", "2", "--n-max", "5", "--modes", "recurrence,closed"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("FAIL: ") and "n=2" in err
+    assert "Traceback" not in err
+
+
+def test_verify_needs_two_distinct_modes(capsys):
+    code, out, err = run_cli(capsys, "verify", "--n-max", "4", "--modes", "closed,closed")
+    assert code == 2
+    assert out == ""
+    assert "two distinct modes" in err
+
+
 def test_verify_refuses_brute_beyond_cap(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--n-max", "15", "--modes", "brute,closed"
@@ -233,6 +252,14 @@ def test_brute_cap_env_var(capsys, monkeypatch):
         capsys, "verify", "--n-min", "2", "--n-max", "5", "--modes", "brute,closed"
     )
     assert code == 0
+
+
+def test_brute_cap_env_var_ignored_without_brute_mode(capsys, monkeypatch):
+    monkeypatch.setenv("GRIDPERM_BRUTE_CAP", "20")
+    code, out, err = run_cli(capsys, "verify", "--n-max", "4")
+    assert code == 0
+    assert err == ""
+    assert all(row["equal"] == "True" for row in parse_csv(out))
 
 
 @pytest.mark.parametrize(

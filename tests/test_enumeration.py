@@ -6,6 +6,7 @@ from conftest import (
     all_permutations,
     brute_stats,
     catalan_by_convolution,
+    contains_pattern,
     enumerate_by_filter,
     pascal_binomial,
 )
@@ -13,7 +14,6 @@ from gridperm import (
     aggregate_stats,
     catalan,
     central_binomial,
-    contains_pattern,
     enumerate_av213,
     reverse,
 )

@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_permutations
+from conftest import all_permutations, contains_pattern
 from gridperm import (
     PatternViolationError,
     compose,
     contains_213,
     contains_312,
-    contains_pattern,
     decompose_by_min,
     enumerate_av213,
     format_permutation,
