@@ -31,13 +31,8 @@ from .enumeration import (
 from .grid_graph import (
     DegreeHistogram,
     deg1_external_count,
-    deg4_count_internal,
     degree_histogram,
-    degree_histogram_fast,
-    horizontal_edge_count,
-    is_internal_peak_deg1,
     render_ascii,
-    vertex_degree,
 )
 from .permutations import (
     Decomposition,

@@ -5,8 +5,8 @@ is either a mismatch between routes or an exact check raising
 RuntimeError (integrality, the Q2/Q3 two-route check, a series
 coefficient or the Q4X constant term), reported as one ``FAIL:`` line
 on stderr; 2 for usage errors (including malformed permutation strings,
-fewer than two distinct verify modes and a non-integer
-GRIDPERM_BRUTE_CAP).
+fewer than two distinct verify modes, a verify range and mode set that
+give no comparison, and a non-integer GRIDPERM_BRUTE_CAP).
 """
 
 from __future__ import annotations
@@ -112,6 +112,11 @@ def cmd_verify(args) -> int:
                     )
                     if not equal and first_failure is None:
                         first_failure = (n, stat, f"{modes[a]}/{modes[b]}")
+    if not rows:
+        return _usage_error(
+            f"modes {','.join(modes)} give nothing to compare for "
+            f"n={args.n_min}..{args.n_max} (closed forms start at n=2)"
+        )
     _emit(rows, args.format)
     if first_failure is not None:
         n, stat, pair = first_failure

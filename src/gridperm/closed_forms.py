@@ -219,22 +219,13 @@ def asymptotic_proportions(n: int) -> dict[int, float]:
 
 @dataclass(frozen=True)
 class ClosedFormReport:
-    """All closed-form outputs for one n, ready for serialization."""
+    """All closed-form outputs for one n."""
 
     n: int
     values: AggregateStats
     expectations: dict[str, Fraction]
     proportions: dict[int, Fraction]
     asymptotic: dict[int, float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "values": self.values.to_row(),
-            "expectations": {k: fraction_str(v) for k, v in self.expectations.items()},
-            "proportions": {str(r): fraction_str(v) for r, v in self.proportions.items()},
-            "asymptotic": {str(r): format_float(v) for r, v in self.asymptotic.items()},
-        }
 
 
 def closed_form_report(n: int) -> ClosedFormReport:

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .grid_graph import degree_histogram, is_internal_peak_deg1
+from .grid_graph import deg1_external_count, degree_histogram
 
 DEFAULT_BRUTE_CAP = 14
 
@@ -149,8 +149,8 @@ def aggregate_stats(words: Iterable[Sequence[int]], n: int) -> AggregateStats:
             ascents += word[-2] < word[-1]
             k = word.index(1)
             internal_min += 1 <= k <= n - 2
-            for i in range(1, n - 1):
-                internal_deg1 += is_internal_peak_deg1(word[i - 1], word[i], word[i + 1])
+            # an internal column's only possible degree-1 vertex is a peak top
+            internal_deg1 += hist.counts[1] - deg1_external_count(word)
     return AggregateStats(
         n=n,
         class_size=size,

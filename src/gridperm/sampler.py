@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .grid_graph import degree_histogram_fast
+from .grid_graph import degree_histogram
 
 GENERATOR_NAME = "cycle lemma + stack word, mt19937 (random.Random)"
 
@@ -92,7 +92,7 @@ def empirical_report(n: int, sample_count: int, seed: int) -> SampleReport:
     h_sum = 0
     for _ in range(sample_count):
         word = sample_av213(n, rng)
-        hist = degree_histogram_fast(word)
+        hist = degree_histogram(word)
         for r in range(5):
             c = hist.counts[r]
             sums[r] += c

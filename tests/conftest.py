@@ -63,23 +63,29 @@ def enumerate_by_filter(n, pattern):
     )
 
 
-def adjacency_histogram(word):
-    """(degree counts, horizontal edge count) from explicit adjacency sets."""
+def adjacency_degrees(word):
+    """Degree of every vertex (column, level), 1-based, from explicit adjacency sets."""
     vertices = {
         (i, s)
         for i in range(1, len(word) + 1)
         for s in range(1, word[i - 1] + 1)
     }
-    degree = {}
-    for i, s in vertices:
-        degree[(i, s)] = sum(
+    return {
+        (i, s): sum(
             (i + di, s + ds) in vertices
             for di, ds in ((1, 0), (-1, 0), (0, 1), (0, -1))
         )
+        for i, s in vertices
+    }
+
+
+def adjacency_histogram(word):
+    """(degree counts, horizontal edge count) from explicit adjacency sets."""
+    degree = adjacency_degrees(word)
     counts = {r: 0 for r in range(5)}
     for d in degree.values():
         counts[d] += 1
-    horizontal = sum(1 for i, s in vertices if (i + 1, s) in vertices)
+    horizontal = sum(1 for i, s in degree if (i + 1, s) in degree)
     return counts, horizontal
 
 

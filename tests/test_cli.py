@@ -84,6 +84,16 @@ def test_verify_needs_two_distinct_modes(capsys):
     assert "two distinct modes" in err
 
 
+@pytest.mark.parametrize("modes", ["recurrence,closed", "brute,closed"])
+def test_verify_refuses_a_range_with_nothing_to_compare(capsys, modes):
+    code, out, err = run_cli(
+        capsys, "verify", "--n-min", "0", "--n-max", "1", "--modes", modes
+    )
+    assert code == 2
+    assert out == ""
+    assert "nothing to compare" in err
+
+
 def test_verify_refuses_brute_beyond_cap(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--n-max", "15", "--modes", "brute,closed"

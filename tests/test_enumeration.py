@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import (
+    adjacency_degrees,
     all_permutations,
     brute_stats,
     catalan_by_convolution,
@@ -162,6 +163,15 @@ def test_boundary_statistics_identities(n):
     assert stats.internal_min == catalan(n) - 2 * catalan(n - 1)
     if n >= 3:
         assert stats.internal_deg1 == (n - 2) * catalan(n - 1)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_internal_deg1_is_q1_minus_external(n):
+    # P counts the degree-1 vertices of columns 2..n-1, per word
+    for word in all_permutations(n):
+        degree = adjacency_degrees(word)
+        internal = sum(d == 1 for (column, _), d in degree.items() if 1 < column < n)
+        assert aggregate_stats([word], n).internal_deg1 == internal
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -4,17 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import adjacency_histogram, all_permutations
+from conftest import adjacency_degrees, adjacency_histogram, all_permutations
 from gridperm import (
     deg1_external_count,
-    deg4_count_internal,
     degree_histogram,
-    degree_histogram_fast,
-    horizontal_edge_count,
-    is_internal_peak_deg1,
     render_ascii,
     reverse,
-    vertex_degree,
 )
 
 perm_words = st.integers(min_value=1, max_value=30).flatmap(
@@ -22,27 +17,9 @@ perm_words = st.integers(min_value=1, max_value=30).flatmap(
 )
 
 
-@pytest.mark.parametrize(
-    "word, column, level, expected",
-    [
-        ((4, 1, 3, 2), 3, 2, 3),
-        ((1, 2), 1, 1, 1),
-        ((1,), 1, 1, 0),
-        ((4, 1, 3, 2), 1, 4, 1),
-        ((4, 1, 3, 2), 2, 1, 2),
-    ],
-)
-def test_vertex_degree(word, column, level, expected):
-    assert vertex_degree(word, column, level) == expected
-
-
-def test_vertex_degree_rejects_bad_coordinates():
-    with pytest.raises(ValueError):
-        vertex_degree((2, 1), 3, 1)
-    with pytest.raises(ValueError):
-        vertex_degree((2, 1), 1, 3)
-    with pytest.raises(ValueError):
-        vertex_degree((2, 1), 1, 0)
+def deg4_count_internal(a, b, c):
+    """Degree-4 vertices in an internal column of height b between heights a, c."""
+    return max(0, min(a, c, b - 1) - 1)
 
 
 @pytest.mark.parametrize(
@@ -50,7 +27,7 @@ def test_vertex_degree_rejects_bad_coordinates():
     [((1, 2), 1), ((4, 1, 3, 2), 4), ((3, 2, 1), 3), ((1,), 0), ((), 0)],
 )
 def test_horizontal_edge_count(word, expected):
-    assert horizontal_edge_count(word) == expected
+    assert degree_histogram(word).horizontal_edges == expected
 
 
 def test_degree_histogram_examples():
@@ -78,7 +55,7 @@ def test_histogram_invariants(n):
     total_vertices = n * (n + 1) // 2
     vertical = n * (n - 1) // 2
     for word in all_permutations(n):
-        hist = degree_histogram_fast(word)
+        hist = degree_histogram(word)
         assert sum(hist.counts.values()) == total_vertices
         assert hist.counts[0] == 0
         degree_total = sum(r * c for r, c in hist.counts.items())
@@ -94,15 +71,22 @@ def test_reversal_isomorphism(n):
         assert hist.horizontal_edges == mirrored.horizontal_edges
 
 
+def assert_matches_oracle(word):
+    hist = degree_histogram(word)
+    counts, horizontal = adjacency_histogram(word)
+    assert hist.counts == counts
+    assert hist.horizontal_edges == horizontal
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_fast_histogram_agrees_with_per_vertex_tally(n):
     for word in all_permutations(n):
-        assert degree_histogram_fast(word) == degree_histogram(word)
+        assert_matches_oracle(word)
 
 
 @given(perm_words)
 def test_fast_histogram_agrees_on_random_words(word):
-    assert degree_histogram_fast(word) == degree_histogram(word)
+    assert_matches_oracle(word)
 
 
 @pytest.mark.parametrize(
@@ -116,9 +100,10 @@ def test_deg4_count_internal(triple, expected):
 @pytest.mark.parametrize("n", range(3, 8))
 def test_deg4_count_matches_per_column_tally(n):
     for word in all_permutations(n):
+        degree = adjacency_degrees(word)
         for i in range(2, n):
             column_deg4 = sum(
-                vertex_degree(word, i, s) == 4 for s in range(1, word[i - 1] + 1)
+                degree[(i, s)] == 4 for s in range(1, word[i - 1] + 1)
             )
             assert column_deg4 == deg4_count_internal(
                 word[i - 2], word[i - 1], word[i]
@@ -132,14 +117,6 @@ def test_shift_law():
                 for t in range(1, 5):
                     delta = deg4_count_internal(a + t, b + t, c + t) - deg4_count_internal(a, b, c)
                     assert delta == (t if b >= 2 else t - 1)
-
-
-@pytest.mark.parametrize(
-    "triple, expected",
-    [((1, 3, 2), True), ((5, 1, 2), False), ((2, 3, 4), False), ((1, 2, 1), True)],
-)
-def test_is_internal_peak_deg1(triple, expected):
-    assert is_internal_peak_deg1(*triple) is expected
 
 
 @pytest.mark.parametrize(
@@ -158,8 +135,9 @@ def test_deg1_external_count_needs_two_columns():
 @pytest.mark.parametrize("n", range(2, 8))
 def test_deg1_external_matches_boundary_columns(n):
     for word in all_permutations(n):
+        degree = adjacency_degrees(word)
         boundary = sum(
-            vertex_degree(word, column, s) == 1
+            degree[(column, s)] == 1
             for column in (1, n)
             for s in range(1, word[column - 1] + 1)
         )
