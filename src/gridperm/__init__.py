@@ -48,6 +48,7 @@ from .permutations import (
 )
 from .recurrences import (
     deg4_by_length,
+    gluing_totals,
     horizontal_edges_by_length,
     initial_descents_by_length,
     internal_deg1_by_length,

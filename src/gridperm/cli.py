@@ -26,7 +26,6 @@ from .sampler import empirical_report
 BRUTE_CAP_ENV = "GRIDPERM_BRUTE_CAP"
 MODES = ("brute", "recurrence", "closed")
 STAT_ORDER = ("class_size", "H", "V", "Sigma", "Q1", "Q2", "Q3", "Q4", "D", "A", "J", "P")
-RECURRENCE_STATS = ("H", "Q4", "D", "J", "P")
 
 
 def _emit(rows: list[dict], fmt: str) -> None:
@@ -52,15 +51,9 @@ def _mode_values(mode, n_min, n_max, cap):
         for n in range(n_min, n_max + 1):
             values[n] = aggregate_brute(n, cap).to_row()
     elif mode == "recurrence":
-        sequences = {
-            "H": recurrences.horizontal_edges_by_length(n_max),
-            "Q4": recurrences.deg4_by_length(n_max),
-            "D": recurrences.initial_descents_by_length(n_max),
-            "J": recurrences.internal_min_by_length(n_max),
-            "P": recurrences.internal_deg1_by_length(n_max),
-        }
+        sequences = recurrences.gluing_totals(n_max)
         for n in range(n_min, n_max + 1):
-            values[n] = {stat: sequences[stat][n] for stat in RECURRENCE_STATS}
+            values[n] = {stat: seq[n] for stat, seq in sequences.items()}
     else:
         for n in range(max(n_min, 2), n_max + 1):
             values[n] = closed_forms.closed_aggregate(n).to_row()
@@ -261,6 +254,13 @@ def main(argv=None) -> int:
     except ValueError:
         return _usage_error(f"{BRUTE_CAP_ENV} must be an integer, got {env!r}")
     args = _build_parser(brute_cap).parse_args(argv)
+    # exact totals pass the interpreter's int->str digit limit (4,300
+    # by default) near n = 7,200; lift it for this call where it exists
+    digit_limit = (
+        sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    )
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except RuntimeError as exc:
@@ -268,6 +268,9 @@ def main(argv=None) -> int:
         # a series coefficient or the Q4X constant term
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

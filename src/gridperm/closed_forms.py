@@ -1,9 +1,14 @@
-"""Closed-form evaluation of every classwise total, in exact arithmetic.
+"""Closed-form evaluation of every classwise total, in integers.
 
 Each formula mixes central binomials with powers of four over a
 polynomial denominator; that such quotients are integers is itself a
-nontrivial fact, so every evaluation goes through rationals and asserts
-integrality before returning.  Floats appear only in the asymptotic
+nontrivial fact.  So every total is an integer numerator divided by its
+denominator with ``divmod``, and a nonzero remainder raises
+RuntimeError.  Each public call computes B_n = binom(2n, n) once and
+passes it to the private evaluators, one per quantity; the Catalan
+numbers C_n = B_n / (n+1) and C_{n-1} = B_n / (2(2n-1)) come from it by
+the same asserted division.  Rationals appear only as the reduced
+expectations and proportions, floats only in the asymptotic
 predictions.
 """
 
@@ -13,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumeration import AggregateStats, catalan, central_binomial
+from .enumeration import AggregateStats, central_binomial
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -28,19 +33,65 @@ def format_float(value: float) -> str:
     return format(value, ".12g")
 
 
-def _as_integer(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise RuntimeError(f"integrality failure for {what}: {value}")
-    return value.numerator
+def _exact(numerator: int, denominator: int, what: str) -> int:
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise RuntimeError(
+            f"integrality failure for {what}: {Fraction(numerator, denominator)}"
+        )
+    return quotient
+
+
+# Evaluators at B = B_n, one per quantity; the public functions below
+# check the domain of n and compute B_n.
+
+
+def _catalan(n: int, b: int) -> int:
+    return _exact(b, n + 1, f"C({n})")
+
+
+def _catalan_below(n: int, b: int) -> int:
+    return _exact(b, 2 * (2 * n - 1), f"C({n - 1})")
+
+
+def _horizontal_edges(n: int, b: int) -> int:
+    return _exact(n * b - 2 * 4 ** (n - 1), 2, f"H({n})")
+
+
+def _vertices(n: int, b: int) -> int:
+    return _exact(n * b, 2, f"V({n})")
+
+
+def _degree_sum(n: int, b: int) -> int:
+    return _exact(2 * n * n * b - 2 * 4 ** (n - 1) * (n + 1), n + 1, f"Sigma({n})")
+
+
+def _deg1(n: int, b: int) -> int:
+    return _exact((n + 2) * b, 2 * (2 * n - 1), f"Q1({n})")
+
+
+def _deg4(n: int, b: int) -> int:
+    poly = 4 * n**3 - 7 * n**2 + 29 * n - 20
+    return _exact(
+        poly * b - 7 * 4 ** (n - 1) * (n + 1) * (2 * n - 1),
+        4 * (n + 1) * (2 * n - 1),
+        f"Q4({n})",
+    )
+
+
+def _internal_min(n: int, b: int) -> int:
+    return _catalan(n, b) - 2 * _catalan_below(n, b)
+
+
+def _internal_deg1(n: int, b: int) -> int:
+    return (n - 2) * _catalan_below(n, b)
 
 
 def horizontal_edges_total(n: int) -> int:
     """H_n = (n/2) binom(2n, n) - 4^(n-1), for n >= 1."""
     if n < 1:
         raise ValueError("horizontal_edges_total needs n >= 1")
-    return _as_integer(
-        Fraction(n, 2) * central_binomial(n) - 4 ** (n - 1), f"H({n})"
-    )
+    return _horizontal_edges(n, central_binomial(n))
 
 
 def vertex_and_degree_totals(n: int) -> tuple[int, int]:
@@ -52,32 +103,21 @@ def vertex_and_degree_totals(n: int) -> tuple[int, int]:
     if n < 1:
         raise ValueError("vertex_and_degree_totals needs n >= 1")
     b = central_binomial(n)
-    v = _as_integer(Fraction(n, 2) * b, f"V({n})")
-    sigma = _as_integer(
-        Fraction(2 * n * n, n + 1) * b - 2 * 4 ** (n - 1), f"Sigma({n})"
-    )
-    return v, sigma
+    return _vertices(n, b), _degree_sum(n, b)
 
 
 def deg1_total(n: int) -> int:
     """Q1(n) = (n+2) C_{n-1} = (n+2) B_n / (2(2n-1)), for n >= 2."""
     if n < 2:
         raise ValueError("deg1_total needs n >= 2")
-    return _as_integer(
-        Fraction(n + 2, 2 * (2 * n - 1)) * central_binomial(n), f"Q1({n})"
-    )
+    return _deg1(n, central_binomial(n))
 
 
 def deg4_total(n: int) -> int:
     """Q4(n) = (4n^3 - 7n^2 + 29n - 20) B_n / (4(n+1)(2n-1)) - 7 * 4^(n-2)."""
     if n < 2:
         raise ValueError("deg4_total needs n >= 2")
-    poly = 4 * n**3 - 7 * n**2 + 29 * n - 20
-    return _as_integer(
-        Fraction(poly, 4 * (n + 1) * (2 * n - 1)) * central_binomial(n)
-        - 7 * 4 ** (n - 2),
-        f"Q4({n})",
-    )
+    return _deg4(n, central_binomial(n))
 
 
 def deg2_deg3_totals(n: int) -> tuple[int, int]:
@@ -91,25 +131,20 @@ def deg2_deg3_totals(n: int) -> tuple[int, int]:
         raise ValueError("deg2_deg3_totals needs n >= 2")
     b = central_binomial(n)
     four_n = 4**n
-    q2_direct = _as_integer(
-        Fraction(
-            (12 * n**2 + 44 * n - 112) * b + (2 * n**2 + n - 1) * four_n,
-            16 * (n + 1) * (2 * n - 1),
-        ),
+    q2_direct = _exact(
+        (12 * n**2 + 44 * n - 112) * b + (2 * n**2 + n - 1) * four_n,
+        16 * (n + 1) * (2 * n - 1),
         f"Q2({n})",
     )
-    q3_direct = _as_integer(
-        Fraction(
-            (8 * n**2 - 96 * n + 88) * b + (6 * n**2 + 3 * n - 3) * four_n,
-            8 * (n + 1) * (2 * n - 1),
-        ),
+    q3_direct = _exact(
+        (8 * n**2 - 96 * n + 88) * b + (6 * n**2 + 3 * n - 3) * four_n,
+        8 * (n + 1) * (2 * n - 1),
         f"Q3({n})",
     )
-    v, sigma = vertex_and_degree_totals(n)
-    q1 = deg1_total(n)
-    q4 = deg4_total(n)
-    s1 = v - q1 - q4
-    s2 = sigma - q1 - 4 * q4
+    q1 = _deg1(n, b)
+    q4 = _deg4(n, b)
+    s1 = _vertices(n, b) - q1 - q4
+    s2 = _degree_sum(n, b) - q1 - 4 * q4
     q3_system = s2 - 2 * s1
     q2_system = s1 - q3_system
     if (q2_direct, q3_direct) != (q2_system, q3_system):
@@ -124,49 +159,48 @@ def initial_descents_total(n: int) -> int:
     """D_n = C_{n-1}, for n >= 2."""
     if n < 2:
         raise ValueError("initial_descents_total needs n >= 2")
-    return catalan(n - 1)
+    return _catalan_below(n, central_binomial(n))
 
 
 def final_ascents_total(n: int) -> int:
     """A_n = C_{n-1}, for n >= 2 (left-right mirror of the descent count)."""
     if n < 2:
         raise ValueError("final_ascents_total needs n >= 2")
-    return catalan(n - 1)
+    return _catalan_below(n, central_binomial(n))
 
 
 def internal_min_total(n: int) -> int:
     """J_n = C_n - 2 C_{n-1} for n >= 2, zero below."""
     if n < 2:
         return 0
-    return catalan(n) - 2 * catalan(n - 1)
+    return _internal_min(n, central_binomial(n))
 
 
 def internal_deg1_total(n: int) -> int:
     """P_n = (n-2) C_{n-1} for n >= 2, zero below."""
     if n < 2:
         return 0
-    return (n - 2) * catalan(n - 1)
+    return _internal_deg1(n, central_binomial(n))
 
 
 def closed_aggregate(n: int) -> AggregateStats:
     """Every classwise total from closed forms only (n >= 2)."""
     if n < 2:
         raise ValueError("closed_aggregate needs n >= 2")
-    v, sigma = vertex_and_degree_totals(n)
-    q1 = deg1_total(n)
+    b = central_binomial(n)
     q2, q3 = deg2_deg3_totals(n)
-    q4 = deg4_total(n)
+    c_below = _catalan_below(n, b)  # D_n = A_n = C_{n-1}
     return AggregateStats(
         n=n,
-        class_size=catalan(n),
-        horizontal_edges=horizontal_edges_total(n),
-        vertices=v,
-        degree_sum=sigma,
-        by_degree={0: 0, 1: q1, 2: q2, 3: q3, 4: q4},
-        initial_descents=initial_descents_total(n),
-        final_ascents=final_ascents_total(n),
-        internal_min=internal_min_total(n),
-        internal_deg1=internal_deg1_total(n),
+        class_size=_catalan(n, b),
+        horizontal_edges=_horizontal_edges(n, b),
+        vertices=_vertices(n, b),
+        degree_sum=_degree_sum(n, b),
+        by_degree={0: 0, 1: _deg1(n, b), 2: q2, 3: q3, 4: _deg4(n, b)},
+        initial_descents=c_below,
+        final_ascents=c_below,
+        internal_min=_internal_min(n, b),
+        internal_deg1=_internal_deg1(n, b),
     )
 
 
@@ -174,14 +208,15 @@ def expectations(n: int) -> dict[str, Fraction]:
     """Exact per-permutation expectations under the uniform class measure."""
     if n < 2:
         raise ValueError("expectations needs n >= 2")
-    c = catalan(n)
+    b = central_binomial(n)
+    c = _catalan(n, b)
     q2, q3 = deg2_deg3_totals(n)
     return {
-        "H": Fraction(horizontal_edges_total(n), c),
-        "Q1": Fraction(deg1_total(n), c),
+        "H": Fraction(_horizontal_edges(n, b), c),
+        "Q1": Fraction(_deg1(n, b), c),
         "Q2": Fraction(q2, c),
         "Q3": Fraction(q3, c),
-        "Q4": Fraction(deg4_total(n), c),
+        "Q4": Fraction(_deg4(n, b), c),
     }
 
 
@@ -189,13 +224,14 @@ def proportions(n: int) -> dict[int, Fraction]:
     """Exact share of vertices of each degree; the four values sum to 1."""
     if n < 2:
         raise ValueError("proportions needs n >= 2")
-    v, _ = vertex_and_degree_totals(n)
+    b = central_binomial(n)
+    v = _vertices(n, b)
     q2, q3 = deg2_deg3_totals(n)
     return {
-        1: Fraction(deg1_total(n), v),
+        1: Fraction(_deg1(n, b), v),
         2: Fraction(q2, v),
         3: Fraction(q3, v),
-        4: Fraction(deg4_total(n), v),
+        4: Fraction(_deg4(n, b), v),
     }
 
 

@@ -8,6 +8,8 @@ indicator formulas, so the two routes stay independent.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 from functools import lru_cache
 
 from gridperm import aggregate_brute
@@ -109,3 +111,65 @@ def catalan_by_convolution(n_max):
 def brute_stats(n):
     """Cached brute-force aggregates, shared across test modules."""
     return aggregate_brute(n)
+
+
+# Closed forms evaluated in rationals from math.comb, independently of the
+# integer numerators and divmod of gridperm.closed_forms: an oracle for them.
+
+
+def _integer(value):
+    assert value.denominator == 1, value
+    return value.numerator
+
+
+def fraction_closed_row(n):
+    """Every closed-form total at n >= 2 by Fraction arithmetic and math.comb."""
+    b = math.comb(2 * n, n)
+    c, c_below = b // (n + 1), math.comb(2 * n - 2, n - 1) // n
+    four_n = 4**n
+    v = _integer(Fraction(n, 2) * b)
+    sigma = _integer(Fraction(2 * n * n, n + 1) * b - 2 * 4 ** (n - 1))
+    q1 = _integer(Fraction(n + 2, 2 * (2 * n - 1)) * b)
+    q4 = _integer(
+        Fraction(4 * n**3 - 7 * n**2 + 29 * n - 20, 4 * (n + 1) * (2 * n - 1)) * b
+        - 7 * 4 ** (n - 2)
+    )
+    q2 = _integer(
+        Fraction(
+            (12 * n**2 + 44 * n - 112) * b + (2 * n**2 + n - 1) * four_n,
+            16 * (n + 1) * (2 * n - 1),
+        )
+    )
+    q3 = _integer(
+        Fraction(
+            (8 * n**2 - 96 * n + 88) * b + (6 * n**2 + 3 * n - 3) * four_n,
+            8 * (n + 1) * (2 * n - 1),
+        )
+    )
+    return {
+        "n": n,
+        "class_size": c,
+        "H": _integer(Fraction(n, 2) * b - 4 ** (n - 1)),
+        "V": v,
+        "Sigma": sigma,
+        "Q1": q1,
+        "Q2": q2,
+        "Q3": q3,
+        "Q4": q4,
+        "D": c_below,
+        "A": c_below,
+        "J": c - 2 * c_below,
+        "P": (n - 2) * c_below,
+    }
+
+
+def fraction_expectations(n):
+    """Per-permutation expectations from ``fraction_closed_row``."""
+    row = fraction_closed_row(n)
+    return {s: Fraction(row[s], row["class_size"]) for s in ("H", "Q1", "Q2", "Q3", "Q4")}
+
+
+def fraction_proportions(n):
+    """Degree shares of the vertices from ``fraction_closed_row``."""
+    row = fraction_closed_row(n)
+    return {r: Fraction(row[f"Q{r}"], row["V"]) for r in range(1, 5)}

@@ -4,6 +4,9 @@ import csv
 import dataclasses
 import io
 import json
+import math
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -66,14 +69,24 @@ def test_verify_corrupt_hook_fails_and_names_first_mismatch(capsys, monkeypatch)
 
 
 def test_failed_exact_check_exits_one_without_traceback(capsys, monkeypatch):
-    exact = closed_forms.deg4_total
-    monkeypatch.setattr(closed_forms, "deg4_total", lambda n: exact(n) + 1)
+    exact = closed_forms._deg4
+    monkeypatch.setattr(closed_forms, "_deg4", lambda n, b: exact(n, b) + 1)
     code, out, err = run_cli(
         capsys, "verify", "--n-min", "2", "--n-max", "5", "--modes", "recurrence,closed"
     )
     assert code == 1
     assert out == ""
     assert err.startswith("FAIL: ") and "n=2" in err
+    assert "Traceback" not in err
+
+
+def test_integrality_failure_exits_one_without_traceback(capsys, monkeypatch):
+    exact = closed_forms.central_binomial
+    monkeypatch.setattr(closed_forms, "central_binomial", lambda n: exact(n) + 1)
+    code, out, err = run_cli(capsys, "table", "--n-min", "3", "--n-max", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("FAIL: integrality failure")
     assert "Traceback" not in err
 
 
@@ -181,6 +194,27 @@ def test_table_rows(capsys):
         "J",
         "P",
     ]
+
+
+def test_table_past_the_int_to_str_digit_limit(capsys):
+    # B_7200 has 4,333 digits, past the interpreter's default limit of 4,300
+    has_limit = hasattr(sys, "get_int_max_str_digits")
+    limit = sys.get_int_max_str_digits() if has_limit else None
+    code, out, err = run_cli(capsys, "table", "--n-min", "7200", "--n-max", "7200")
+    assert code == 0
+    assert err == ""
+    (row,) = parse_csv(out)
+    assert len(row["B"]) == 4333
+    if has_limit:
+        assert sys.get_int_max_str_digits() == limit  # main restored it
+        sys.set_int_max_str_digits(0)
+    try:
+        assert int(row["B"]) == math.comb(14400, 7200)
+        assert sum(int(row[f"Q{r}"]) for r in range(1, 5)) == int(row["V"])
+        assert sum(Fraction(row[f"prop{r}"]) for r in range(1, 5)) == 1
+    finally:
+        if has_limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_table_requires_n_min_two(capsys):

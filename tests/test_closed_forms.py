@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import fraction_closed_row, fraction_expectations, fraction_proportions
 from gridperm import (
     asymptotic_proportions,
     catalan,
@@ -134,3 +135,10 @@ def test_report_serialization():
     assert fraction_str(report.proportions[1]) == "1/3"
     assert fraction_str(Fraction(3, 7)) == "3/7"
     assert format_float(0.9844910288045767) == "0.984491028805"
+
+
+def test_integer_closed_forms_match_the_fraction_oracle():
+    for n in range(2, 401):
+        assert closed_aggregate(n).to_row() == fraction_closed_row(n), n
+        assert expectations(n) == fraction_expectations(n), n
+        assert proportions(n) == fraction_proportions(n), n

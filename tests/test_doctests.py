@@ -7,6 +7,7 @@ import pytest
 import gridperm.enumeration
 import gridperm.grid_graph
 import gridperm.permutations
+import gridperm.recurrences
 import gridperm.series
 
 
@@ -16,6 +17,7 @@ import gridperm.series
         gridperm.permutations,
         gridperm.grid_graph,
         gridperm.enumeration,
+        gridperm.recurrences,
         gridperm.series,
     ],
 )
