@@ -12,13 +12,9 @@ from .closed_forms import (
     asymptotic_proportions,
     closed_aggregate,
     closed_form_report,
-    deg1_total,
     deg2_deg3_totals,
-    deg4_total,
     expectations,
-    horizontal_edges_total,
     proportions,
-    vertex_and_degree_totals,
 )
 from .enumeration import (
     AggregateStats,
@@ -34,26 +30,8 @@ from .grid_graph import (
     degree_histogram,
     render_ascii,
 )
-from .permutations import (
-    Decomposition,
-    PatternViolationError,
-    compose,
-    contains_213,
-    contains_312,
-    decompose_by_min,
-    format_permutation,
-    parse_permutation,
-    reverse,
-    standardize,
-)
-from .recurrences import (
-    deg4_by_length,
-    gluing_totals,
-    horizontal_edges_by_length,
-    initial_descents_by_length,
-    internal_deg1_by_length,
-    internal_min_by_length,
-)
+from .permutations import contains_213, parse_permutation
+from .recurrences import gluing_totals
 from .sampler import SampleReport, empirical_report, sample_av213
 from .series import (
     IDENTITY_IDS,
@@ -61,7 +39,6 @@ from .series import (
     catalan_series,
     check_identity,
     half_power,
-    residual_report,
 )
 
 __version__ = "0.1.0"

@@ -18,14 +18,14 @@ import os
 import sys
 
 from . import closed_forms, recurrences, series
-from .enumeration import DEFAULT_BRUTE_CAP, aggregate_brute, central_binomial
+from .enumeration import CSV_FIELDS, DEFAULT_BRUTE_CAP, aggregate_brute, central_binomial
 from .grid_graph import degree_histogram, render_ascii
 from .permutations import parse_permutation
 from .sampler import empirical_report
 
 BRUTE_CAP_ENV = "GRIDPERM_BRUTE_CAP"
 MODES = ("brute", "recurrence", "closed")
-STAT_ORDER = ("class_size", "H", "V", "Sigma", "Q1", "Q2", "Q3", "Q4", "D", "A", "J", "P")
+STAT_ORDER = CSV_FIELDS[1:]
 
 
 def _emit(rows: list[dict], fmt: str) -> None:
@@ -143,7 +143,11 @@ def cmd_table(args) -> int:
 def cmd_series_check(args) -> int:
     if args.order < 8:
         return _usage_error("series checks need --order >= 8")
-    rows = [series.residual_report(name, args.order) for name in series.IDENTITY_IDS]
+    totals = recurrences.gluing_totals(args.order + 1)
+    rows = [
+        series.residual_summary(name, series.check_identity(name, args.order, totals))
+        for name in series.IDENTITY_IDS
+    ]
     _emit(rows, args.format)
     failures = [row for row in rows if row["max_nonzero_index"] != -1]
     if failures:

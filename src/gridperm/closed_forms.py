@@ -87,39 +87,6 @@ def _internal_deg1(n: int, b: int) -> int:
     return (n - 2) * _catalan_below(n, b)
 
 
-def horizontal_edges_total(n: int) -> int:
-    """H_n = (n/2) binom(2n, n) - 4^(n-1), for n >= 1."""
-    if n < 1:
-        raise ValueError("horizontal_edges_total needs n >= 1")
-    return _horizontal_edges(n, central_binomial(n))
-
-
-def vertex_and_degree_totals(n: int) -> tuple[int, int]:
-    """(V_n, Sigma_n): total vertices and total degree sum over the class.
-
-    V_n = (n/2) B_n and Sigma_n = (2 n^2 / (n+1)) B_n - 2 * 4^(n-1),
-    with B_n the central binomial coefficient.
-    """
-    if n < 1:
-        raise ValueError("vertex_and_degree_totals needs n >= 1")
-    b = central_binomial(n)
-    return _vertices(n, b), _degree_sum(n, b)
-
-
-def deg1_total(n: int) -> int:
-    """Q1(n) = (n+2) C_{n-1} = (n+2) B_n / (2(2n-1)), for n >= 2."""
-    if n < 2:
-        raise ValueError("deg1_total needs n >= 2")
-    return _deg1(n, central_binomial(n))
-
-
-def deg4_total(n: int) -> int:
-    """Q4(n) = (4n^3 - 7n^2 + 29n - 20) B_n / (4(n+1)(2n-1)) - 7 * 4^(n-2)."""
-    if n < 2:
-        raise ValueError("deg4_total needs n >= 2")
-    return _deg4(n, central_binomial(n))
-
-
 def deg2_deg3_totals(n: int) -> tuple[int, int]:
     """(Q2(n), Q3(n)), computed two independent ways and asserted equal.
 
@@ -153,34 +120,6 @@ def deg2_deg3_totals(n: int) -> tuple[int, int]:
             f"direct ({q2_direct}, {q3_direct}) vs system ({q2_system}, {q3_system})"
         )
     return q2_direct, q3_direct
-
-
-def initial_descents_total(n: int) -> int:
-    """D_n = C_{n-1}, for n >= 2."""
-    if n < 2:
-        raise ValueError("initial_descents_total needs n >= 2")
-    return _catalan_below(n, central_binomial(n))
-
-
-def final_ascents_total(n: int) -> int:
-    """A_n = C_{n-1}, for n >= 2 (left-right mirror of the descent count)."""
-    if n < 2:
-        raise ValueError("final_ascents_total needs n >= 2")
-    return _catalan_below(n, central_binomial(n))
-
-
-def internal_min_total(n: int) -> int:
-    """J_n = C_n - 2 C_{n-1} for n >= 2, zero below."""
-    if n < 2:
-        return 0
-    return _internal_min(n, central_binomial(n))
-
-
-def internal_deg1_total(n: int) -> int:
-    """P_n = (n-2) C_{n-1} for n >= 2, zero below."""
-    if n < 2:
-        return 0
-    return _internal_deg1(n, central_binomial(n))
 
 
 def closed_aggregate(n: int) -> AggregateStats:

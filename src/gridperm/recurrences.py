@@ -9,11 +9,11 @@ the glue terms in one small function each, not algebraically
 simplified, so this route shares nothing with the closed-form module
 it is checked against.
 
-All five totals come from one pass over (n, i).  A split (i, j) and its
-mirror (j, i) hold the same two blocks, so the pass takes them
-together: each block product (C_j times a statistic of the size-i
-block, and C_i times one of the size-j block) is formed once and serves
-both splits.
+All five totals come from one pass over (n, i), :func:`gluing_totals`,
+the module's only entry point.  A split (i, j) and its mirror (j, i)
+hold the same two blocks, so the pass takes them together: each block
+product (C_j times a statistic of the size-i block, and C_i times one
+of the size-j block) is formed once and serves both splits.
 """
 
 from __future__ import annotations
@@ -131,27 +131,3 @@ def gluing_totals(n_max: int) -> dict[str, list[int]]:
         h[n], q4[n], d[n], jm[n], p[n] = h_n, q4_n, d_n, j_n, p_n
     return dict(zip(STATISTICS, (h, q4, d, jm, p)))
 
-
-def horizontal_edges_by_length(n_max: int) -> list[int]:
-    """Totals H_n of horizontal edges over Av_n(213) for 0 <= n <= n_max."""
-    return gluing_totals(n_max)["H"]
-
-
-def deg4_by_length(n_max: int) -> list[int]:
-    """Totals Q4_n of degree-4 vertices over Av_n(213)."""
-    return gluing_totals(n_max)["Q4"]
-
-
-def initial_descents_by_length(m_max: int) -> list[int]:
-    """Counts D_m of members of Av_m(213) whose first two entries descend."""
-    return gluing_totals(m_max)["D"]
-
-
-def internal_min_by_length(m_max: int) -> list[int]:
-    """Counts J_m of members of Av_m(213) whose minimum sits strictly inside."""
-    return gluing_totals(m_max)["J"]
-
-
-def internal_deg1_by_length(n_max: int) -> list[int]:
-    """Totals P_n of internal-column degree-1 vertices (internal peaks)."""
-    return gluing_totals(n_max)["P"]

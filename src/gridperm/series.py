@@ -7,8 +7,8 @@ integer coefficients, so no rational arithmetic is needed.  On top of
 the arithmetic sit the algebraic elements used by the verification
 suite (the Catalan series and the powers (1-4x)^(k/2)) and
 :func:`check_identity`, which rebuilds each generating-function
-identity from the recurrence outputs and returns the left-minus-right
-residual.
+identity from the sequences of one ``recurrences.gluing_totals`` pass
+and returns the left-minus-right residual.
 """
 
 from __future__ import annotations
@@ -18,11 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .enumeration import catalan_list
-from .recurrences import (
-    deg4_by_length,
-    horizontal_edges_by_length,
-    internal_deg1_by_length,
-)
 
 IDENTITY_IDS = ("HFE", "HX", "PX", "Q4FE", "Q4X")
 
@@ -72,9 +67,6 @@ class TruncatedSeries:
             tuple(a - b for a, b in zip(self.coeffs, other.coeffs))[: k + 1]
         )
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             k = min(self.order, other.order)
@@ -115,10 +107,6 @@ class TruncatedSeries:
 def from_values(values: Iterable[int]) -> TruncatedSeries:
     """Build a series whose coefficient at x^k is values[k]."""
     return TruncatedSeries(tuple(values))
-
-
-def zero(order: int) -> TruncatedSeries:
-    return TruncatedSeries((0,) * (order + 1))
 
 
 def one(order: int) -> TruncatedSeries:
@@ -172,36 +160,36 @@ def _x(order: int) -> TruncatedSeries:
     return polynomial([0, 1], order)
 
 
-def _residual_hfe(order: int) -> TruncatedSeries:
+def _residual_hfe(order: int, totals: dict) -> TruncatedSeries:
     k = order + 1
     c = catalan_series(k)
     cp = c.differentiate()
     x = _x(k)
     u = one(k)
-    h = from_values(horizontal_edges_by_length(k))
+    h = from_values(totals["H"])
     lhs = (u - 2 * (x * c)) * h
     rhs = x * (x * cp - c + u) * (x * cp + 2 * c) + 2 * (c - u - x * c)
     return (lhs - rhs).truncate(order)
 
 
-def _residual_hx(order: int) -> TruncatedSeries:
+def _residual_hx(order: int, totals: dict) -> TruncatedSeries:
     x = _x(order)
-    h = from_values(horizontal_edges_by_length(order))
+    h = from_values(totals["H"])
     rhs = x * half_power(-3, order) - x * half_power(-2, order)
     return h - rhs
 
 
-def _residual_px(order: int) -> TruncatedSeries:
+def _residual_px(order: int, totals: dict) -> TruncatedSeries:
     k = order + 1
     c = catalan_series(k)
     cp = c.differentiate()
     x = _x(k)
     u = one(k)
-    p = from_values(internal_deg1_by_length(order))
+    p = from_values(totals["P"])
     return (p - x * (x * cp - c + u)).truncate(order)
 
 
-def _residual_q4fe(order: int) -> TruncatedSeries:
+def _residual_q4fe(order: int, totals: dict) -> TruncatedSeries:
     k = order + 1
     c = catalan_series(k)
     cp = c.differentiate()
@@ -210,13 +198,13 @@ def _residual_q4fe(order: int) -> TruncatedSeries:
     a = x * cp - 2 * c + 2 * u + x
     j = (u - 2 * x) * c + x - u
     xc_prime = (x * c).differentiate()
-    q4 = from_values(deg4_by_length(k))
+    q4 = from_values(totals["Q4"])
     lhs = (u - 2 * (x * c)) * q4
     rhs = x * a * (c + xc_prime) - 2 * (x * c) * j
     return (lhs - rhs).truncate(order)
 
 
-def _residual_q4x(order: int) -> TruncatedSeries:
+def _residual_q4x(order: int, totals: dict) -> TruncatedSeries:
     k = order + 1
     root = half_power(1, k)
     numerator = (
@@ -232,11 +220,11 @@ def _residual_q4x(order: int) -> TruncatedSeries:
     # Q4X is numerator / (2x (1 - 4x)^2); the residual compares 2 Q4 with
     # the rest, so a failing residual is twice the Q4 discrepancy
     closed = numerator.divide_by_x() * half_power(-4, k)
-    q4 = from_values(deg4_by_length(order))
+    q4 = from_values(totals["Q4"])
     return (2 * q4 - closed).truncate(order)
 
 
-_IDENTITY_BUILDERS: dict[str, Callable[[int], TruncatedSeries]] = {
+_IDENTITY_BUILDERS: dict[str, Callable[[int, dict], TruncatedSeries]] = {
     "HFE": _residual_hfe,
     "HX": _residual_hx,
     "PX": _residual_px,
@@ -245,21 +233,24 @@ _IDENTITY_BUILDERS: dict[str, Callable[[int], TruncatedSeries]] = {
 }
 
 
-def check_identity(name: str, order: int) -> TruncatedSeries:
+def check_identity(name: str, order: int, totals: dict) -> TruncatedSeries:
     """Left-minus-right residual of the named identity through ``order``.
 
-    The H, P and Q4 inputs come from the recurrence module, so a zero
-    residual ties the recurrence route to the generating-function route.
-    Known names: HFE and Q4FE (the functional equations for the
-    horizontal-edge and degree-4 totals), HX and Q4X (their closed
-    generating functions) and PX (the closed form for internal
-    degree-1 vertices).
+    ``totals`` is the dict of ``recurrences.gluing_totals(n_max)`` with
+    n_max >= order + 1; the identities read its H, P and Q4 sequences,
+    so a zero residual ties the recurrence route to the
+    generating-function route.  Known names: HFE and Q4FE (the
+    functional equations for the horizontal-edge and degree-4 totals),
+    HX and Q4X (their closed generating functions) and PX (the closed
+    form for internal degree-1 vertices).
     """
     if name not in _IDENTITY_BUILDERS:
         raise ValueError(f"unknown identity {name!r}; known: {', '.join(IDENTITY_IDS)}")
     if order < 8:
         raise ValueError(f"identity checks need order >= 8, got {order}")
-    return _IDENTITY_BUILDERS[name](order)
+    if any(len(totals[stat]) < order + 2 for stat in ("H", "P", "Q4")):
+        raise ValueError(f"order {order} needs gluing totals through n = {order + 1}")
+    return _IDENTITY_BUILDERS[name](order, totals)
 
 
 def residual_summary(name: str, residual: TruncatedSeries) -> dict:
@@ -271,8 +262,3 @@ def residual_summary(name: str, residual: TruncatedSeries) -> dict:
         "max_nonzero_index": nonzero[-1] if nonzero else -1,
         "first_nonzero": f"{residual[nonzero[0]]}/1" if nonzero else None,
     }
-
-
-def residual_report(name: str, order: int) -> dict:
-    """Run one identity check and summarize the residual."""
-    return residual_summary(name, check_identity(name, order))

@@ -21,22 +21,12 @@ from gridperm import (
     asymptotic_proportions,
     catalan,
     closed_aggregate,
-    deg1_total,
     deg2_deg3_totals,
-    deg4_total,
     empirical_report,
     enumerate_av213,
-    horizontal_edges_total,
+    gluing_totals,
     proportions,
     sample_av213,
-    vertex_and_degree_totals,
-)
-from gridperm.recurrences import (
-    deg4_by_length,
-    horizontal_edges_by_length,
-    initial_descents_by_length,
-    internal_deg1_by_length,
-    internal_min_by_length,
 )
 from gridperm.series import (
     catalan_series,
@@ -73,36 +63,38 @@ def test_criterion_2_brute_vs_closed():
         for stat in ("H", "V", "Sigma", "Q1", "Q2", "Q3", "Q4"):
             assert brute[stat] == closed[stat], (n, stat, brute[stat], closed[stat])
     # spot values fixed up front
-    assert horizontal_edges_total(3) == 14 and horizontal_edges_total(4) == 76
-    assert vertex_and_degree_totals(3) == (30, 58)
-    assert deg1_total(2) == 4 and deg2_deg3_totals(2) == (2, 0) and deg4_total(2) == 0
-    assert deg1_total(3) == 10 and deg2_deg3_totals(3) == (12, 8) and deg4_total(3) == 0
-    assert deg4_total(4) == 8
+    row2, row3, row4 = (closed_aggregate(n) for n in (2, 3, 4))
+    assert row3.horizontal_edges == 14 and row4.horizontal_edges == 76
+    assert (row3.vertices, row3.degree_sum) == (30, 58)
+    assert row2.by_degree == {0: 0, 1: 4, 2: 2, 3: 0, 4: 0}
+    assert row3.by_degree == {0: 0, 1: 10, 2: 12, 3: 8, 4: 0}
+    assert deg2_deg3_totals(2) == (2, 0) and deg2_deg3_totals(3) == (12, 8)
+    assert row4.by_degree[4] == 8
     _finish("criterion 2 (brute vs closed, 2 <= n <= 10)", started, 300)
 
 
 def test_criterion_3_recurrence_vs_closed():
     started = time.time()
     top = 300
-    h = horizontal_edges_by_length(top)
-    p = internal_deg1_by_length(top)
-    d = initial_descents_by_length(top)
-    j = internal_min_by_length(top)
-    q4 = deg4_by_length(top)
+    totals = gluing_totals(top)
+    h, p, d, j, q4 = (totals[stat] for stat in ("H", "P", "D", "J", "Q4"))
     for n in range(2, top + 1):
-        assert h[n] == horizontal_edges_total(n), ("H", n)
+        closed = closed_aggregate(n)
+        assert h[n] == closed.horizontal_edges, ("H", n)
+        # P, D and J against Catalan numbers, independently of closed_aggregate
         assert p[n] == (n - 2) * catalan(n - 1), ("P", n)
         assert d[n] == catalan(n - 1), ("D", n)
         assert j[n] == catalan(n) - 2 * catalan(n - 1), ("J", n)
-        assert q4[n] == deg4_total(n), ("Q4", n)
+        assert q4[n] == closed.by_degree[4], ("Q4", n)
     _finish("criterion 3 (recurrence vs closed, 2 <= n <= 300)", started, 30)
 
 
 def test_criterion_4_series_residuals():
     started = time.time()
     order = 64
+    totals = gluing_totals(order + 1)
     for name in IDENTITY_IDS:
-        residual = check_identity(name, order)
+        residual = check_identity(name, order, totals)
         assert residual.is_zero(), f"identity {name} has a nonzero residual"
     c = catalan_series(order)
     x = polynomial([0, 1], order)
@@ -116,13 +108,11 @@ def test_criterion_4_series_residuals():
 def test_criterion_5_integrality_and_linear_closure():
     started = time.time()
     for n in range(2, 2001):
-        v, sigma = vertex_and_degree_totals(n)
-        q1 = deg1_total(n)
-        q2, q3 = deg2_deg3_totals(n)
-        q4 = deg4_total(n)
-        horizontal_edges_total(n)
-        assert q1 + q2 + q3 + q4 == v, n
-        assert q1 + 2 * q2 + 3 * q3 + 4 * q4 == sigma, n
+        # every total is an asserted-exact quotient, Q2/Q3 by two routes
+        stats = closed_aggregate(n)
+        q = stats.by_degree
+        assert q[1] + q[2] + q[3] + q[4] == stats.vertices, n
+        assert q[1] + 2 * q[2] + 3 * q[3] + 4 * q[4] == stats.degree_sum, n
     _finish("criterion 5 (integrality and closure, 2 <= n <= 2000)", started, 60)
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from gridperm import closed_forms
+from gridperm import closed_forms, recurrences
 from gridperm.cli import main
 
 
@@ -229,6 +229,20 @@ def test_series_check(capsys):
     assert len(rows) == 5
     assert {row["identity"] for row in rows} == {"HFE", "HX", "PX", "Q4FE", "Q4X"}
     assert all(row["max_nonzero_index"] == "-1" for row in rows)
+
+
+def test_series_check_runs_one_gluing_pass(capsys, monkeypatch):
+    passes = []
+    gluing_totals = recurrences.gluing_totals
+
+    def counted(n_max):
+        passes.append(n_max)
+        return gluing_totals(n_max)
+
+    monkeypatch.setattr(recurrences, "gluing_totals", counted)
+    code, out, err = run_cli(capsys, "series-check", "--order", "16")
+    assert code == 0 and len(parse_csv(out)) == 5
+    assert passes == [17]
 
 
 def test_series_check_order_floor(capsys):

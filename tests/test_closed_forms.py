@@ -10,42 +10,32 @@ from gridperm import (
     catalan,
     closed_aggregate,
     closed_form_report,
-    deg1_total,
     deg2_deg3_totals,
-    deg4_total,
     expectations,
-    horizontal_edges_total,
     proportions,
-    vertex_and_degree_totals,
 )
-from gridperm.closed_forms import (
-    final_ascents_total,
-    format_float,
-    fraction_str,
-    initial_descents_total,
-    internal_deg1_total,
-    internal_min_total,
-)
+from gridperm.closed_forms import format_float, fraction_str
 
 
-@pytest.mark.parametrize("n, expected", [(1, 0), (2, 2), (3, 14), (4, 76)])
+@pytest.mark.parametrize("n, expected", [(2, 2), (3, 14), (4, 76)])
 def test_horizontal_edges_total(n, expected):
-    assert horizontal_edges_total(n) == expected
+    assert closed_aggregate(n).horizontal_edges == expected
 
 
-@pytest.mark.parametrize("n, expected", [(1, (1, 0)), (2, (6, 8)), (3, (30, 58))])
+@pytest.mark.parametrize("n, expected", [(2, (6, 8)), (3, (30, 58))])
 def test_vertex_and_degree_totals(n, expected):
-    assert vertex_and_degree_totals(n) == expected
+    stats = closed_aggregate(n)
+    assert (stats.vertices, stats.degree_sum) == expected
 
 
 @pytest.mark.parametrize("n, expected", [(2, 4), (3, 10), (4, 30)])
 def test_deg1_total(n, expected):
-    assert deg1_total(n) == expected
+    assert closed_aggregate(n).by_degree[1] == expected
 
 
 @pytest.mark.parametrize("n, expected", [(2, 0), (3, 0), (4, 8), (5, 77)])
 def test_deg4_total(n, expected):
-    assert deg4_total(n) == expected
+    assert closed_aggregate(n).by_degree[4] == expected
 
 
 @pytest.mark.parametrize("n, expected", [(2, (2, 0)), (3, (12, 8)), (4, (48, 54))])
@@ -55,28 +45,29 @@ def test_deg2_deg3_totals(n, expected):
 
 def test_degree_totals_close_the_vertex_count():
     for n in (2, 3, 4, 7, 25):
-        v, sigma = vertex_and_degree_totals(n)
-        q1 = deg1_total(n)
-        q2, q3 = deg2_deg3_totals(n)
-        q4 = deg4_total(n)
-        assert q1 + q2 + q3 + q4 == v
-        assert q1 + 2 * q2 + 3 * q3 + 4 * q4 == sigma
+        stats = closed_aggregate(n)
+        q = stats.by_degree
+        assert (q[2], q[3]) == deg2_deg3_totals(n)
+        assert q[0] == 0
+        assert q[1] + q[2] + q[3] + q[4] == stats.vertices
+        assert q[1] + 2 * q[2] + 3 * q[3] + 4 * q[4] == stats.degree_sum
 
 
 def test_domain_errors():
-    for fn in (deg1_total, deg4_total, deg2_deg3_totals):
+    for fn in (closed_aggregate, deg2_deg3_totals, expectations, proportions,
+               asymptotic_proportions, closed_form_report):
         with pytest.raises(ValueError):
             fn(1)
     with pytest.raises(ValueError):
-        horizontal_edges_total(0)
+        closed_aggregate(0)
 
 
 def test_boundary_totals():
-    assert [initial_descents_total(n) for n in (2, 3, 4)] == [1, 2, 5]
-    assert final_ascents_total(6) == initial_descents_total(6)
-    assert internal_min_total(1) == 0
-    assert [internal_min_total(n) for n in (2, 3, 4)] == [0, 1, 4]
-    assert [internal_deg1_total(n) for n in (1, 2, 3, 4)] == [0, 0, 2, 10]
+    rows = {n: closed_aggregate(n) for n in (2, 3, 4, 6)}
+    assert [rows[n].initial_descents for n in (2, 3, 4)] == [1, 2, 5]
+    assert rows[6].final_ascents == rows[6].initial_descents
+    assert [rows[n].internal_min for n in (2, 3, 4)] == [0, 1, 4]
+    assert [rows[n].internal_deg1 for n in (2, 3, 4)] == [0, 2, 10]
 
 
 def test_expectations():
@@ -92,13 +83,10 @@ def test_proportions_sum_to_one():
 
 
 def test_integrality_sweep():
-    # each call raises internally if any quotient fails to be integral
+    # each call raises internally if any quotient fails to be integral,
+    # or if the two Q2/Q3 routes disagree
     for n in range(2, 401):
-        vertex_and_degree_totals(n)
-        deg1_total(n)
-        deg2_deg3_totals(n)
-        deg4_total(n)
-        horizontal_edges_total(n)
+        closed_aggregate(n)
 
 
 def test_asymptotic_examples():

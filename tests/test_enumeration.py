@@ -10,14 +10,9 @@ from conftest import (
     contains_pattern,
     enumerate_by_filter,
     pascal_binomial,
-)
-from gridperm import (
-    aggregate_stats,
-    catalan,
-    central_binomial,
-    enumerate_av213,
     reverse,
 )
+from gridperm import aggregate_stats, catalan, central_binomial, enumerate_av213
 from gridperm.enumeration import CSV_FIELDS
 
 

@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import adjacency_degrees, adjacency_histogram, all_permutations
-from gridperm import (
-    deg1_external_count,
-    degree_histogram,
-    render_ascii,
-    reverse,
-)
+from conftest import adjacency_degrees, adjacency_histogram, all_permutations, reverse
+from gridperm import deg1_external_count, degree_histogram, render_ascii
 
 perm_words = st.integers(min_value=1, max_value=30).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)

@@ -4,19 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_permutations, contains_pattern
-from gridperm import (
+from conftest import (
     PatternViolationError,
+    all_permutations,
     compose,
-    contains_213,
     contains_312,
+    contains_pattern,
     decompose_by_min,
-    enumerate_av213,
     format_permutation,
-    parse_permutation,
     reverse,
     standardize,
 )
+from gridperm import contains_213, enumerate_av213, parse_permutation
 
 perm_words = st.integers(min_value=0, max_value=8).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)
@@ -164,6 +163,13 @@ def test_parse_errors_carry_position():
         parse_permutation("4,x,3,2")
     with pytest.raises(ValueError):
         parse_permutation("4,1,3,3")
+    # digits outside ASCII are refused by position, not read as values
+    with pytest.raises(ValueError, match="position 1"):
+        parse_permutation("\u0662\u0661")  # Arabic-Indic 2, 1
+    with pytest.raises(ValueError, match="position 1"):
+        parse_permutation("\u00b21")  # superscript 2, then 1
+    with pytest.raises(ValueError, match="position 2"):
+        parse_permutation("2,\u0661")
 
 
 @given(perm_words)

@@ -3,22 +3,13 @@ from __future__ import annotations
 import pytest
 
 from conftest import brute_stats
-from gridperm import (
-    catalan,
-    deg4_by_length,
-    deg4_total,
-    horizontal_edges_by_length,
-    horizontal_edges_total,
-    initial_descents_by_length,
-    internal_deg1_by_length,
-    internal_min_by_length,
-)
+from gridperm import catalan, closed_aggregate, gluing_totals
 
 N_CHECK = 60
 
 
 def test_horizontal_edges_examples():
-    h = horizontal_edges_by_length(4)
+    h = gluing_totals(4)["H"]
     assert h[0] == 0 and h[1] == 0
     assert h[2] == 2
     assert h[3] == 14
@@ -26,39 +17,39 @@ def test_horizontal_edges_examples():
 
 
 def test_horizontal_edges_matches_closed_form():
-    h = horizontal_edges_by_length(N_CHECK)
-    for n in range(1, N_CHECK + 1):
-        assert h[n] == horizontal_edges_total(n)
+    h = gluing_totals(N_CHECK)["H"]
+    for n in range(2, N_CHECK + 1):
+        assert h[n] == closed_aggregate(n).horizontal_edges
 
 
 def test_internal_deg1_examples():
-    p = internal_deg1_by_length(4)
+    p = gluing_totals(4)["P"]
     assert p[:3] == [0, 0, 0]
     assert p[3] == 2
     assert p[4] == 10
 
 
 def test_internal_deg1_matches_closed_form():
-    p = internal_deg1_by_length(N_CHECK)
+    p = gluing_totals(N_CHECK)["P"]
     for n in range(3, N_CHECK + 1):
         assert p[n] == (n - 2) * catalan(n - 1)
 
 
 def test_initial_descents_examples():
-    d = initial_descents_by_length(5)
+    d = gluing_totals(5)["D"]
     assert d[2] == 1
     assert d[3] == 2
     assert d[4] == 5
 
 
 def test_initial_descents_matches_closed_form():
-    d = initial_descents_by_length(N_CHECK)
+    d = gluing_totals(N_CHECK)["D"]
     for m in range(2, N_CHECK + 1):
         assert d[m] == catalan(m - 1)
 
 
 def test_internal_min_examples():
-    j = internal_min_by_length(4)
+    j = gluing_totals(4)["J"]
     assert j[0] == 0 and j[1] == 0
     assert j[2] == 0
     assert j[3] == 1
@@ -66,33 +57,31 @@ def test_internal_min_examples():
 
 
 def test_deg4_examples():
-    q4 = deg4_by_length(4)
+    q4 = gluing_totals(4)["Q4"]
     assert q4[:4] == [0, 0, 0, 0]
     assert q4[4] == 8
 
 
 def test_deg4_matches_closed_form():
-    q4 = deg4_by_length(N_CHECK)
+    q4 = gluing_totals(N_CHECK)["Q4"]
     for n in range(2, N_CHECK + 1):
-        assert q4[n] == deg4_total(n)
+        assert q4[n] == closed_aggregate(n).by_degree[4]
 
 
 @pytest.mark.parametrize("n", range(0, 11))
 def test_all_sequences_match_brute_force(n):
     stats = brute_stats(n)
-    assert horizontal_edges_by_length(max(n, 1))[n] == stats.horizontal_edges
-    assert internal_deg1_by_length(max(n, 1))[n] == stats.internal_deg1
-    assert initial_descents_by_length(max(n, 2))[n] == stats.initial_descents
-    assert internal_min_by_length(n)[n] == stats.internal_min
-    assert deg4_by_length(max(n, 2))[n] == stats.by_degree[4]
+    totals = gluing_totals(n)
+    assert totals["H"][n] == stats.horizontal_edges
+    assert totals["P"][n] == stats.internal_deg1
+    assert totals["D"][n] == stats.initial_descents
+    assert totals["J"][n] == stats.internal_min
+    assert totals["Q4"][n] == stats.by_degree[4]
 
 
 def test_outputs_are_nonnegative():
-    for seq in (
-        horizontal_edges_by_length(40),
-        internal_deg1_by_length(40),
-        initial_descents_by_length(40),
-        internal_min_by_length(40),
-        deg4_by_length(40),
-    ):
+    totals = gluing_totals(40)
+    assert set(totals) == {"H", "Q4", "D", "J", "P"}
+    for seq in totals.values():
+        assert len(seq) == 41
         assert all(v >= 0 for v in seq)

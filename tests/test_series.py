@@ -13,17 +13,19 @@ from gridperm import (
     catalan_series,
     central_binomial,
     check_identity,
+    gluing_totals,
     half_power,
-    internal_min_by_length,
-    residual_report,
 )
 from gridperm.series import (
     from_values,
     one,
     polynomial,
     residual_summary,
-    zero,
 )
+
+
+def zero(order):
+    return TruncatedSeries((0,) * (order + 1))
 
 integers = st.integers(min_value=-10, max_value=10)
 small_series = st.lists(integers, min_size=1, max_size=9).map(
@@ -157,20 +159,26 @@ def test_block_count_series_match_their_sequences():
     for m in range(k):
         assert ascent_series[m] == max(m - 2, 0) * catalan(m)
     min_series = (u - 2 * x) * c + x - u
-    j_seq = internal_min_by_length(k)
+    j_seq = gluing_totals(k)["J"]
     assert all(min_series[m] == j_seq[m] for m in range(k + 1))
 
 
 @pytest.mark.parametrize("name", IDENTITY_IDS)
 def test_identity_residuals_vanish(name):
-    assert check_identity(name, 32).is_zero()
+    residual = check_identity(name, 32, gluing_totals(33))
+    assert residual.order == 32 and residual.is_zero()
+    # longer sequences give the same residual
+    assert check_identity(name, 32, gluing_totals(40)) == residual
 
 
 def test_check_identity_validates_input():
+    totals = gluing_totals(33)
     with pytest.raises(ValueError):
-        check_identity("nope", 32)
+        check_identity("nope", 32, totals)
     with pytest.raises(ValueError):
-        check_identity("HX", 7)
+        check_identity("HX", 7, totals)
+    with pytest.raises(ValueError, match="n = 33"):
+        check_identity("HX", 32, gluing_totals(32))
 
 
 def test_closed_numerator_constant_cancels():
@@ -182,7 +190,7 @@ def test_closed_numerator_constant_cancels():
 
 
 def test_residual_report_zero_case():
-    payload = residual_report("HX", 16)
+    payload = residual_summary("HX", check_identity("HX", 16, gluing_totals(17)))
     assert payload == {
         "identity": "HX",
         "order": 16,
