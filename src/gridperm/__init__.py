@@ -17,7 +17,6 @@ from .closed_forms import (
     proportions,
 )
 from .enumeration import (
-    AggregateStats,
     aggregate_brute,
     aggregate_stats,
     catalan,

@@ -6,13 +6,16 @@ RuntimeError (integrality, the Q2/Q3 two-route check, a series
 coefficient or the Q4X constant term), reported as one ``FAIL:`` line
 on stderr; 2 for usage errors (including malformed permutation strings,
 fewer than two distinct verify modes, a verify range and mode set that
-give no comparison, and a non-integer GRIDPERM_BRUTE_CAP).
+give no comparison, and a non-integer GRIDPERM_BRUTE_CAP); 141
+(128 + SIGPIPE) when the reader of stdout closes it early, as ``head``
+does.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -45,19 +48,16 @@ def _usage_error(message: str) -> int:
 
 
 def _mode_values(mode, n_min, n_max, cap):
-    """Per-n statistic values for one computation route."""
-    values: dict[int, dict[str, int]] = {}
+    """Per-n rows of statistic values for one computation route."""
     if mode == "brute":
-        for n in range(n_min, n_max + 1):
-            values[n] = aggregate_brute(n, cap).to_row()
-    elif mode == "recurrence":
+        return {n: aggregate_brute(n, cap) for n in range(n_min, n_max + 1)}
+    if mode == "recurrence":
         sequences = recurrences.gluing_totals(n_max)
-        for n in range(n_min, n_max + 1):
-            values[n] = {stat: seq[n] for stat, seq in sequences.items()}
-    else:
-        for n in range(max(n_min, 2), n_max + 1):
-            values[n] = closed_forms.closed_aggregate(n).to_row()
-    return values
+        return {
+            n: {stat: seq[n] for stat, seq in sequences.items()}
+            for n in range(n_min, n_max + 1)
+        }
+    return {n: closed_forms.closed_aggregate(n) for n in range(max(n_min, 2), n_max + 1)}
 
 
 def cmd_verify(args) -> int:
@@ -129,7 +129,7 @@ def cmd_table(args) -> int:
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         report = closed_forms.closed_form_report(n)
-        row = report.values.to_row()
+        row = dict(report.values)
         row["B"] = central_binomial(n)
         for r in range(1, 5):
             row[f"prop{r}"] = closed_forms.fraction_str(report.proportions[r])
@@ -166,19 +166,12 @@ def cmd_sample(args) -> int:
         return _usage_error("sample needs --count >= 1")
     report = empirical_report(args.n, args.count, args.seed)
     if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print(json.dumps(dataclasses.asdict(report), indent=2))
     else:
-        row = {
-            "n": report.n,
-            "sample_count": report.sample_count,
-            "seed": report.seed,
-            "generator": report.generator,
-            "mean_h": report.mean_h,
-        }
-        for r in range(5):
-            row[f"mean_prop{r}"] = report.mean_proportions[r]
-        for r in range(5):
-            row[f"stderr{r}"] = report.std_errors[r]
+        fields = ("n", "sample_count", "seed", "generator", "mean_h")
+        row = {field: getattr(report, field) for field in fields}
+        row.update({f"mean_prop{r}": p for r, p in report.mean_proportions.items()})
+        row.update({f"stderr{r}": e for r, e in report.std_errors.items()})
         _emit([row], "csv")
     return 0
 
@@ -188,7 +181,7 @@ def cmd_degrees(args) -> int:
         word = parse_permutation(args.word)
     except ValueError as exc:
         return _usage_error(str(exc))
-    print(json.dumps(degree_histogram(word).to_json_dict()))
+    print(json.dumps(dataclasses.asdict(degree_histogram(word))))
     return 0
 
 
@@ -266,12 +259,18 @@ def main(argv=None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return status
     except RuntimeError as exc:
         # an exact check failed: integrality, the Q2/Q3 two-route check,
         # a series coefficient or the Q4X constant term
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout early; the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)

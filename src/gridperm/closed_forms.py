@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumeration import AggregateStats, central_binomial
+from .enumeration import central_binomial
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -122,25 +122,33 @@ def deg2_deg3_totals(n: int) -> tuple[int, int]:
     return q2_direct, q3_direct
 
 
-def closed_aggregate(n: int) -> AggregateStats:
-    """Every classwise total from closed forms only (n >= 2)."""
+def closed_aggregate(n: int) -> dict[str, int]:
+    """Every classwise total from closed forms only (n >= 2), keyed by ``CSV_FIELDS``.
+
+    >>> closed_aggregate(3)  # doctest: +NORMALIZE_WHITESPACE
+    {'n': 3, 'class_size': 5, 'H': 14, 'V': 30, 'Sigma': 58, 'Q1': 10, 'Q2': 12,
+     'Q3': 8, 'Q4': 0, 'D': 2, 'A': 2, 'J': 1, 'P': 2}
+    """
     if n < 2:
         raise ValueError("closed_aggregate needs n >= 2")
     b = central_binomial(n)
     q2, q3 = deg2_deg3_totals(n)
     c_below = _catalan_below(n, b)  # D_n = A_n = C_{n-1}
-    return AggregateStats(
-        n=n,
-        class_size=_catalan(n, b),
-        horizontal_edges=_horizontal_edges(n, b),
-        vertices=_vertices(n, b),
-        degree_sum=_degree_sum(n, b),
-        by_degree={0: 0, 1: _deg1(n, b), 2: q2, 3: q3, 4: _deg4(n, b)},
-        initial_descents=c_below,
-        final_ascents=c_below,
-        internal_min=_internal_min(n, b),
-        internal_deg1=_internal_deg1(n, b),
-    )
+    return {
+        "n": n,
+        "class_size": _catalan(n, b),
+        "H": _horizontal_edges(n, b),
+        "V": _vertices(n, b),
+        "Sigma": _degree_sum(n, b),
+        "Q1": _deg1(n, b),
+        "Q2": q2,
+        "Q3": q3,
+        "Q4": _deg4(n, b),
+        "D": c_below,
+        "A": c_below,
+        "J": _internal_min(n, b),
+        "P": _internal_deg1(n, b),
+    }
 
 
 def expectations(n: int) -> dict[str, Fraction]:
@@ -197,7 +205,7 @@ class ClosedFormReport:
     """All closed-form outputs for one n."""
 
     n: int
-    values: AggregateStats
+    values: dict[str, int]
     expectations: dict[str, Fraction]
     proportions: dict[int, Fraction]
     asymptotic: dict[int, float]

@@ -7,7 +7,6 @@ decomposition (output-linear, no filtering).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .grid_graph import deg1_external_count, degree_histogram
@@ -82,53 +81,11 @@ def enumerate_av213(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]
     return _generate(n)
 
 
-@dataclass(frozen=True)
-class AggregateStats:
-    """Grid-graph totals accumulated over a whole permutation class.
+def aggregate_stats(words: Iterable[Sequence[int]], n: int) -> dict[str, int]:
+    """Class totals over a stream of words, one row keyed by ``CSV_FIELDS``.
 
-    ``by_degree`` maps degree r in 0..4 to the total number of degree-r
-    vertices; the remaining fields are the class size, the horizontal
-    edge total H, the vertex total V, the degree sum Sigma, and the
-    boundary statistics D (initial descents), A (final ascents),
-    J (minimum in an internal position) and P (internal degree-1
-    vertices).
-    """
-
-    n: int
-    class_size: int
-    horizontal_edges: int
-    vertices: int
-    degree_sum: int
-    by_degree: dict[int, int]
-    initial_descents: int
-    final_ascents: int
-    internal_min: int
-    internal_deg1: int
-
-    def to_row(self) -> dict[str, int]:
-        """Flatten to the frozen CSV/JSON field names."""
-        return {
-            "n": self.n,
-            "class_size": self.class_size,
-            "H": self.horizontal_edges,
-            "V": self.vertices,
-            "Sigma": self.degree_sum,
-            "Q1": self.by_degree[1],
-            "Q2": self.by_degree[2],
-            "Q3": self.by_degree[3],
-            "Q4": self.by_degree[4],
-            "D": self.initial_descents,
-            "A": self.final_ascents,
-            "J": self.internal_min,
-            "P": self.internal_deg1,
-        }
-
-
-def aggregate_stats(words: Iterable[Sequence[int]], n: int) -> AggregateStats:
-    """Accumulate degree histograms and boundary indicators over a stream.
-
-    Streams one histogram at a time; memory stays O(n) no matter how
-    large the class is.
+    V counts degree-0 vertices too.  Streams one histogram at a time;
+    memory stays O(n) no matter how large the class is.
     """
     size = 0
     h_total = 0
@@ -151,20 +108,20 @@ def aggregate_stats(words: Iterable[Sequence[int]], n: int) -> AggregateStats:
             internal_min += 1 <= k <= n - 2
             # an internal column's only possible degree-1 vertex is a peak top
             internal_deg1 += hist.counts[1] - deg1_external_count(word)
-    return AggregateStats(
-        n=n,
-        class_size=size,
-        horizontal_edges=h_total,
-        vertices=vertices,
-        degree_sum=degree_sum,
-        by_degree=by_degree,
-        initial_descents=descents,
-        final_ascents=ascents,
-        internal_min=internal_min,
-        internal_deg1=internal_deg1,
-    )
+    return {
+        "n": n,
+        "class_size": size,
+        "H": h_total,
+        "V": vertices,
+        "Sigma": degree_sum,
+        **{f"Q{r}": by_degree[r] for r in range(1, 5)},
+        "D": descents,
+        "A": ascents,
+        "J": internal_min,
+        "P": internal_deg1,
+    }
 
 
-def aggregate_brute(n: int, cap: int | None = None) -> AggregateStats:
+def aggregate_brute(n: int, cap: int | None = None) -> dict[str, int]:
     """Class totals for Av_n(213) by direct enumeration."""
     return aggregate_stats(enumerate_av213(n, cap), n)

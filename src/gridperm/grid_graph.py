@@ -24,13 +24,6 @@ class DegreeHistogram:
     counts: dict[int, int]
     horizontal_edges: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "counts": {str(r): self.counts[r] for r in range(5)},
-            "horizontal_edges": self.horizontal_edges,
-        }
-
 
 def degree_histogram(word: Sequence[int]) -> DegreeHistogram:
     """Vertex counts by degree, and H, in one pass over the columns.

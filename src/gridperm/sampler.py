@@ -63,17 +63,6 @@ class SampleReport:
     std_errors: dict[int, float]
     mean_h: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "generator": self.generator,
-            "mean_proportions": {str(r): self.mean_proportions[r] for r in range(5)},
-            "std_errors": {str(r): self.std_errors[r] for r in range(5)},
-            "mean_h": self.mean_h,
-        }
-
 
 def empirical_report(n: int, sample_count: int, seed: int) -> SampleReport:
     """Sample degree histograms and aggregate the proportions.

@@ -10,6 +10,7 @@ import json
 import random
 import time
 from collections import Counter
+from dataclasses import asdict
 
 from scipy.stats import chisquare
 
@@ -58,18 +59,20 @@ def test_criterion_1_enumeration_count():
 def test_criterion_2_brute_vs_closed():
     started = time.time()
     for n in range(2, 11):
-        brute = aggregate_brute(n).to_row()
-        closed = closed_aggregate(n).to_row()
+        brute = aggregate_brute(n)
+        closed = closed_aggregate(n)
         for stat in ("H", "V", "Sigma", "Q1", "Q2", "Q3", "Q4"):
             assert brute[stat] == closed[stat], (n, stat, brute[stat], closed[stat])
     # spot values fixed up front
     row2, row3, row4 = (closed_aggregate(n) for n in (2, 3, 4))
-    assert row3.horizontal_edges == 14 and row4.horizontal_edges == 76
-    assert (row3.vertices, row3.degree_sum) == (30, 58)
-    assert row2.by_degree == {0: 0, 1: 4, 2: 2, 3: 0, 4: 0}
-    assert row3.by_degree == {0: 0, 1: 10, 2: 12, 3: 8, 4: 0}
+    assert row3["H"] == 14 and row4["H"] == 76
+    assert (row3["V"], row3["Sigma"]) == (30, 58)
+    assert [row2[f"Q{r}"] for r in range(1, 5)] == [4, 2, 0, 0]
+    assert [row3[f"Q{r}"] for r in range(1, 5)] == [10, 12, 8, 0]
+    for row in (row2, row3):  # no degree-0 vertices for n >= 2
+        assert row["V"] == sum(row[f"Q{r}"] for r in range(1, 5))
     assert deg2_deg3_totals(2) == (2, 0) and deg2_deg3_totals(3) == (12, 8)
-    assert row4.by_degree[4] == 8
+    assert row4["Q4"] == 8
     _finish("criterion 2 (brute vs closed, 2 <= n <= 10)", started, 300)
 
 
@@ -80,12 +83,12 @@ def test_criterion_3_recurrence_vs_closed():
     h, p, d, j, q4 = (totals[stat] for stat in ("H", "P", "D", "J", "Q4"))
     for n in range(2, top + 1):
         closed = closed_aggregate(n)
-        assert h[n] == closed.horizontal_edges, ("H", n)
+        assert h[n] == closed["H"], ("H", n)
         # P, D and J against Catalan numbers, independently of closed_aggregate
         assert p[n] == (n - 2) * catalan(n - 1), ("P", n)
         assert d[n] == catalan(n - 1), ("D", n)
         assert j[n] == catalan(n) - 2 * catalan(n - 1), ("J", n)
-        assert q4[n] == closed.by_degree[4], ("Q4", n)
+        assert q4[n] == closed["Q4"], ("Q4", n)
     _finish("criterion 3 (recurrence vs closed, 2 <= n <= 300)", started, 30)
 
 
@@ -110,19 +113,19 @@ def test_criterion_5_integrality_and_linear_closure():
     for n in range(2, 2001):
         # every total is an asserted-exact quotient, Q2/Q3 by two routes
         stats = closed_aggregate(n)
-        q = stats.by_degree
-        assert q[1] + q[2] + q[3] + q[4] == stats.vertices, n
-        assert q[1] + 2 * q[2] + 3 * q[3] + 4 * q[4] == stats.degree_sum, n
+        q1, q2, q3, q4 = (stats[f"Q{r}"] for r in range(1, 5))
+        assert q1 + q2 + q3 + q4 == stats["V"], n
+        assert q1 + 2 * q2 + 3 * q3 + 4 * q4 == stats["Sigma"], n
     _finish("criterion 5 (integrality and closure, 2 <= n <= 2000)", started, 60)
 
 
 def test_criterion_6_reversal_transfer():
     started = time.time()
     for n in range(2, 9):
-        stats_312 = aggregate_stats(enumerate_by_filter(n, (3, 1, 2)), n).to_row()
-        stats_213 = aggregate_stats(enumerate_by_filter(n, (2, 1, 3)), n).to_row()
+        stats_312 = aggregate_stats(enumerate_by_filter(n, (3, 1, 2)), n)
+        stats_213 = aggregate_stats(enumerate_by_filter(n, (2, 1, 3)), n)
         assert stats_312 == stats_213, n
-        assert stats_213 == aggregate_brute(n).to_row(), n
+        assert stats_213 == aggregate_brute(n), n
     _finish("criterion 6 (reversal transfer, 2 <= n <= 8)", started, 120)
 
 
@@ -160,5 +163,5 @@ def test_criterion_8_sampler():
     assert gap <= 4 * report.std_errors[4], (gap, report.std_errors[4])
     again = empirical_report(200, 1, SEED)
     once_more = empirical_report(200, 1, SEED)
-    assert json.dumps(again.to_json_dict()) == json.dumps(once_more.to_json_dict())
+    assert json.dumps(asdict(again)) == json.dumps(asdict(once_more))
     _finish("criterion 8 (sampler)", started, 300)

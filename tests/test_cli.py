@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from gridperm import closed_forms, recurrences
+from gridperm import cli, closed_forms, recurrences
 from gridperm.cli import main
 
 
@@ -57,8 +59,8 @@ def test_verify_corrupt_hook_fails_and_names_first_mismatch(capsys, monkeypatch)
     exact = closed_forms.closed_aggregate
 
     def corrupted(n):
-        stats = exact(n)
-        return dataclasses.replace(stats, horizontal_edges=stats.horizontal_edges + 1)
+        row = exact(n)
+        return {**row, "H": row["H"] + 1}
 
     monkeypatch.setattr(closed_forms, "closed_aggregate", corrupted)
     code, out, err = run_cli(
@@ -257,8 +259,18 @@ def test_sample_json_deterministic(capsys):
     assert code_a == code_b == 0
     assert out_a == out_b
     payload = json.loads(out_a)
+    assert list(payload) == [
+        "n",
+        "sample_count",
+        "seed",
+        "generator",
+        "mean_proportions",
+        "std_errors",
+        "mean_h",
+    ]
     assert payload["n"] == 8 and payload["seed"] == 11
-    assert set(payload["mean_proportions"]) == {"0", "1", "2", "3", "4"}
+    assert list(payload["mean_proportions"]) == ["0", "1", "2", "3", "4"]
+    assert list(payload["std_errors"]) == ["0", "1", "2", "3", "4"]
 
 
 def test_sample_csv(capsys):
@@ -273,9 +285,26 @@ def test_sample_csv(capsys):
 def test_degrees(capsys):
     code, out, err = run_cli(capsys, "degrees", "4132")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["counts"] == {"0": 0, "1": 2, "2": 6, "3": 2, "4": 0}
-    assert payload["horizontal_edges"] == 4 and payload["n"] == 4
+    assert out == (
+        '{"n": 4, "counts": {"0": 0, "1": 2, "2": 6, "3": 2, "4": 0}, '
+        '"horizontal_edges": 4}\n'
+    )
+
+
+def test_closed_pipe_exits_141_without_traceback():
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gridperm.cli", "table", "--n-max", "600"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.read(10)
+    proc.stdout.close()  # as `head -c 10` does
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_degrees_parse_error(capsys):

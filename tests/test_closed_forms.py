@@ -19,23 +19,23 @@ from gridperm.closed_forms import format_float, fraction_str
 
 @pytest.mark.parametrize("n, expected", [(2, 2), (3, 14), (4, 76)])
 def test_horizontal_edges_total(n, expected):
-    assert closed_aggregate(n).horizontal_edges == expected
+    assert closed_aggregate(n)["H"] == expected
 
 
 @pytest.mark.parametrize("n, expected", [(2, (6, 8)), (3, (30, 58))])
 def test_vertex_and_degree_totals(n, expected):
     stats = closed_aggregate(n)
-    assert (stats.vertices, stats.degree_sum) == expected
+    assert (stats["V"], stats["Sigma"]) == expected
 
 
 @pytest.mark.parametrize("n, expected", [(2, 4), (3, 10), (4, 30)])
 def test_deg1_total(n, expected):
-    assert closed_aggregate(n).by_degree[1] == expected
+    assert closed_aggregate(n)["Q1"] == expected
 
 
 @pytest.mark.parametrize("n, expected", [(2, 0), (3, 0), (4, 8), (5, 77)])
 def test_deg4_total(n, expected):
-    assert closed_aggregate(n).by_degree[4] == expected
+    assert closed_aggregate(n)["Q4"] == expected
 
 
 @pytest.mark.parametrize("n, expected", [(2, (2, 0)), (3, (12, 8)), (4, (48, 54))])
@@ -46,11 +46,11 @@ def test_deg2_deg3_totals(n, expected):
 def test_degree_totals_close_the_vertex_count():
     for n in (2, 3, 4, 7, 25):
         stats = closed_aggregate(n)
-        q = stats.by_degree
-        assert (q[2], q[3]) == deg2_deg3_totals(n)
-        assert q[0] == 0
-        assert q[1] + q[2] + q[3] + q[4] == stats.vertices
-        assert q[1] + 2 * q[2] + 3 * q[3] + 4 * q[4] == stats.degree_sum
+        q1, q2, q3, q4 = (stats[f"Q{r}"] for r in range(1, 5))
+        assert (q2, q3) == deg2_deg3_totals(n)
+        # no degree-0 vertices: Q1..Q4 account for every vertex
+        assert q1 + q2 + q3 + q4 == stats["V"]
+        assert q1 + 2 * q2 + 3 * q3 + 4 * q4 == stats["Sigma"]
 
 
 def test_domain_errors():
@@ -64,10 +64,10 @@ def test_domain_errors():
 
 def test_boundary_totals():
     rows = {n: closed_aggregate(n) for n in (2, 3, 4, 6)}
-    assert [rows[n].initial_descents for n in (2, 3, 4)] == [1, 2, 5]
-    assert rows[6].final_ascents == rows[6].initial_descents
-    assert [rows[n].internal_min for n in (2, 3, 4)] == [0, 1, 4]
-    assert [rows[n].internal_deg1 for n in (2, 3, 4)] == [0, 2, 10]
+    assert [rows[n]["D"] for n in (2, 3, 4)] == [1, 2, 5]
+    assert rows[6]["A"] == rows[6]["D"]
+    assert [rows[n]["J"] for n in (2, 3, 4)] == [0, 1, 4]
+    assert [rows[n]["P"] for n in (2, 3, 4)] == [0, 2, 10]
 
 
 def test_expectations():
@@ -97,7 +97,7 @@ def test_asymptotic_examples():
 
 
 def test_closed_aggregate_matches_known_row():
-    row = closed_aggregate(3).to_row()
+    row = closed_aggregate(3)
     assert row == {
         "n": 3,
         "class_size": 5,
@@ -118,7 +118,7 @@ def test_closed_aggregate_matches_known_row():
 
 def test_report_serialization():
     report = closed_form_report(3)
-    assert report.values.to_row()["H"] == 14
+    assert report.values["H"] == 14
     assert report.expectations["H"] == Fraction(14, 5)
     assert fraction_str(report.proportions[1]) == "1/3"
     assert fraction_str(Fraction(3, 7)) == "3/7"
@@ -127,6 +127,6 @@ def test_report_serialization():
 
 def test_integer_closed_forms_match_the_fraction_oracle():
     for n in range(2, 401):
-        assert closed_aggregate(n).to_row() == fraction_closed_row(n), n
+        assert closed_aggregate(n) == fraction_closed_row(n), n
         assert expectations(n) == fraction_expectations(n), n
         assert proportions(n) == fraction_proportions(n), n

@@ -4,6 +4,7 @@ import doctest
 
 import pytest
 
+import gridperm.closed_forms
 import gridperm.enumeration
 import gridperm.grid_graph
 import gridperm.permutations
@@ -17,6 +18,7 @@ import gridperm.series
         gridperm.permutations,
         gridperm.grid_graph,
         gridperm.enumeration,
+        gridperm.closed_forms,
         gridperm.recurrences,
         gridperm.series,
     ],

@@ -12,7 +12,15 @@ from conftest import (
     pascal_binomial,
     reverse,
 )
-from gridperm import aggregate_stats, catalan, central_binomial, enumerate_av213
+from gridperm import (
+    aggregate_brute,
+    aggregate_stats,
+    catalan,
+    central_binomial,
+    closed_aggregate,
+    enumerate_av213,
+    gluing_totals,
+)
 from gridperm.enumeration import CSV_FIELDS
 
 
@@ -97,7 +105,7 @@ def test_filter_oracle_cap():
 
 
 def test_aggregate_brute_frozen_values():
-    row3 = brute_stats(3).to_row()
+    row3 = brute_stats(3)
     assert row3 == {
         "n": 3,
         "class_size": 5,
@@ -113,10 +121,10 @@ def test_aggregate_brute_frozen_values():
         "J": 1,
         "P": 2,
     }
-    row2 = brute_stats(2).to_row()
+    row2 = brute_stats(2)
     assert (row2["Q1"], row2["Q2"], row2["Q3"], row2["Q4"]) == (4, 2, 0, 0)
     assert row2["H"] == 2
-    row4 = brute_stats(4).to_row()
+    row4 = brute_stats(4)
     assert row4["Q4"] == 8 and row4["H"] == 76
 
 
@@ -136,28 +144,35 @@ def test_csv_fields_are_frozen():
         "J",
         "P",
     )
-    assert tuple(brute_stats(2).to_row().keys()) == CSV_FIELDS
+    assert tuple(brute_stats(2).keys()) == CSV_FIELDS
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_every_route_gives_csv_field_rows(n):
+    assert list(aggregate_brute(n)) == list(CSV_FIELDS)
+    assert list(closed_aggregate(n)) == list(CSV_FIELDS)
+    assert set(gluing_totals(5)) <= set(CSV_FIELDS)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_aggregate_invariants(n):
     stats = brute_stats(n)
-    q = stats.by_degree
-    assert q[0] == 0
-    assert q[1] + q[2] + q[3] + q[4] == stats.vertices
-    assert q[1] + 2 * q[2] + 3 * q[3] + 4 * q[4] == stats.degree_sum
-    assert stats.vertices == stats.class_size * n * (n + 1) // 2
-    assert stats.degree_sum == stats.class_size * n * (n - 1) + 2 * stats.horizontal_edges
+    q1, q2, q3, q4 = (stats[f"Q{r}"] for r in range(1, 5))
+    # V counts degree-0 vertices too; for n >= 2 there are none
+    assert q1 + q2 + q3 + q4 == stats["V"]
+    assert q1 + 2 * q2 + 3 * q3 + 4 * q4 == stats["Sigma"]
+    assert stats["V"] == stats["class_size"] * n * (n + 1) // 2
+    assert stats["Sigma"] == stats["class_size"] * n * (n - 1) + 2 * stats["H"]
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_boundary_statistics_identities(n):
     stats = brute_stats(n)
-    assert stats.initial_descents == catalan(n - 1)
-    assert stats.final_ascents == catalan(n - 1)
-    assert stats.internal_min == catalan(n) - 2 * catalan(n - 1)
+    assert stats["D"] == catalan(n - 1)
+    assert stats["A"] == catalan(n - 1)
+    assert stats["J"] == catalan(n) - 2 * catalan(n - 1)
     if n >= 3:
-        assert stats.internal_deg1 == (n - 2) * catalan(n - 1)
+        assert stats["P"] == (n - 2) * catalan(n - 1)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -166,20 +181,21 @@ def test_internal_deg1_is_q1_minus_external(n):
     for word in all_permutations(n):
         degree = adjacency_degrees(word)
         internal = sum(d == 1 for (column, _), d in degree.items() if 1 < column < n)
-        assert aggregate_stats([word], n).internal_deg1 == internal
+        assert aggregate_stats([word], n)["P"] == internal
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_reversal_transfer_small(n):
     stats_312 = aggregate_stats(enumerate_by_filter(n, (3, 1, 2)), n)
-    assert stats_312.to_row() == brute_stats(n).to_row()
+    assert stats_312 == brute_stats(n)
 
 
 def test_aggregate_degenerate_lengths():
-    assert brute_stats(0).to_row()["V"] == 0
-    row1 = brute_stats(1).to_row()
+    assert brute_stats(0)["V"] == 0
+    row1 = brute_stats(1)
     assert row1["class_size"] == 1 and row1["V"] == 1 and row1["Sigma"] == 0
-    assert brute_stats(1).by_degree[0] == 1
+    # the single vertex has degree 0: V counts it, Q1..Q4 do not
+    assert row1["V"] - sum(row1[f"Q{r}"] for r in range(1, 5)) == 1
 
 
 def test_permutation_universe_sanity():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import random
@@ -74,8 +75,8 @@ def test_sampler_determinism():
 
 
 def test_report_determinism_is_byte_exact():
-    a = json.dumps(empirical_report(12, 200, SEED).to_json_dict())
-    b = json.dumps(empirical_report(12, 200, SEED).to_json_dict())
+    a = json.dumps(dataclasses.asdict(empirical_report(12, 200, SEED)))
+    b = json.dumps(dataclasses.asdict(empirical_report(12, 200, SEED)))
     assert a == b
 
 
@@ -102,7 +103,16 @@ def test_report_matches_exact_expectations_at_n3():
 
 
 def test_report_fields_round_trip_to_json():
-    payload = empirical_report(6, 50, SEED).to_json_dict()
+    payload = json.loads(json.dumps(dataclasses.asdict(empirical_report(6, 50, SEED))))
+    assert list(payload) == [
+        "n",
+        "sample_count",
+        "seed",
+        "generator",
+        "mean_proportions",
+        "std_errors",
+        "mean_h",
+    ]
     assert payload["n"] == 6
     assert payload["sample_count"] == 50
     assert payload["seed"] == SEED
