@@ -8,7 +8,6 @@ random sampler.
 """
 
 from .closed_forms import (
-    ClosedFormReport,
     asymptotic_proportions,
     closed_aggregate,
     closed_form_report,
@@ -24,14 +23,13 @@ from .enumeration import (
     enumerate_av213,
 )
 from .grid_graph import (
-    DegreeHistogram,
     deg1_external_count,
     degree_histogram,
     render_ascii,
 )
-from .permutations import contains_213, parse_permutation
+from .permutations import parse_permutation
 from .recurrences import gluing_totals
-from .sampler import SampleReport, empirical_report, sample_av213
+from .sampler import empirical_report, sample_av213
 from .series import (
     IDENTITY_IDS,
     TruncatedSeries,

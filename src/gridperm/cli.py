@@ -6,7 +6,8 @@ RuntimeError (integrality, the Q2/Q3 two-route check, a series
 coefficient or the Q4X constant term), reported as one ``FAIL:`` line
 on stderr; 2 for usage errors (including malformed permutation strings,
 fewer than two distinct verify modes, a verify range and mode set that
-give no comparison, and a non-integer GRIDPERM_BRUTE_CAP); 141
+give no comparison, and brute mode past the enumeration cap without
+``--force``); 141
 (128 + SIGPIPE) when the reader of stdout closes it early, as ``head``
 does.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -26,7 +27,6 @@ from .grid_graph import degree_histogram, render_ascii
 from .permutations import parse_permutation
 from .sampler import empirical_report
 
-BRUTE_CAP_ENV = "GRIDPERM_BRUTE_CAP"
 MODES = ("brute", "recurrence", "closed")
 STAT_ORDER = CSV_FIELDS[1:]
 
@@ -70,41 +70,36 @@ def cmd_verify(args) -> int:
         return _usage_error("verify needs at least two distinct modes to compare")
     if args.n_min > args.n_max or args.n_min < 0:
         return _usage_error("need 0 <= n-min <= n-max")
-    cap = args.brute_cap
-    if "brute" in modes:
-        if cap > DEFAULT_BRUTE_CAP and not args.force:
-            return _usage_error(
-                f"brute cap {cap} exceeds {DEFAULT_BRUTE_CAP}; pass --force to confirm"
-            )
-        if args.n_max > cap:
-            return _usage_error(
-                f"brute mode requested up to n={args.n_max}, beyond the cap {cap}; "
-                f"lower --n-max or raise --brute-cap"
-            )
+    cap = args.n_max if args.force else DEFAULT_BRUTE_CAP
+    if "brute" in modes and args.n_max > cap:
+        return _usage_error(
+            f"brute mode requested up to n={args.n_max}, beyond the cap {cap}; "
+            f"lower --n-max or pass --force"
+        )
     values = {mode: _mode_values(mode, args.n_min, args.n_max, cap) for mode in modes}
     rows = []
     first_failure = None
     for n in range(args.n_min, args.n_max + 1):
         for stat in STAT_ORDER:
-            for a in range(len(modes)):
-                for b in range(a + 1, len(modes)):
-                    lhs = values[modes[a]].get(n, {})
-                    rhs = values[modes[b]].get(n, {})
-                    if stat not in lhs or stat not in rhs:
-                        continue
-                    equal = lhs[stat] == rhs[stat]
-                    rows.append(
-                        {
-                            "n": n,
-                            "statistic": stat,
-                            "modes": f"{modes[a]}/{modes[b]}",
-                            "equal": equal,
-                            "lhs": lhs[stat],
-                            "rhs": rhs[stat],
-                        }
-                    )
-                    if not equal and first_failure is None:
-                        first_failure = (n, stat, f"{modes[a]}/{modes[b]}")
+            for lhs_mode, rhs_mode in itertools.combinations(modes, 2):
+                lhs = values[lhs_mode].get(n, {})
+                rhs = values[rhs_mode].get(n, {})
+                if stat not in lhs or stat not in rhs:
+                    continue
+                pair = f"{lhs_mode}/{rhs_mode}"
+                equal = lhs[stat] == rhs[stat]
+                rows.append(
+                    {
+                        "n": n,
+                        "statistic": stat,
+                        "modes": pair,
+                        "equal": equal,
+                        "lhs": lhs[stat],
+                        "rhs": rhs[stat],
+                    }
+                )
+                if not equal and first_failure is None:
+                    first_failure = (n, stat, pair)
     if not rows:
         return _usage_error(
             f"modes {','.join(modes)} give nothing to compare for "
@@ -129,12 +124,12 @@ def cmd_table(args) -> int:
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         report = closed_forms.closed_form_report(n)
-        row = dict(report.values)
+        row = dict(report["values"])
         row["B"] = central_binomial(n)
-        for r in range(1, 5):
-            row[f"prop{r}"] = closed_forms.fraction_str(report.proportions[r])
-        for r in range(1, 5):
-            row[f"pred{r}"] = closed_forms.format_float(report.asymptotic[r])
+        for r, share in report["proportions"].items():
+            row[f"prop{r}"] = f"{share.numerator}/{share.denominator}"
+        for r, prediction in report["asymptotic"].items():
+            row[f"pred{r}"] = format(prediction, ".12g")
         rows.append(row)
     _emit(rows, args.format)
     return 0
@@ -166,12 +161,12 @@ def cmd_sample(args) -> int:
         return _usage_error("sample needs --count >= 1")
     report = empirical_report(args.n, args.count, args.seed)
     if args.format == "json":
-        print(json.dumps(dataclasses.asdict(report), indent=2))
+        print(json.dumps(report, indent=2))
     else:
         fields = ("n", "sample_count", "seed", "generator", "mean_h")
-        row = {field: getattr(report, field) for field in fields}
-        row.update({f"mean_prop{r}": p for r, p in report.mean_proportions.items()})
-        row.update({f"stderr{r}": e for r, e in report.std_errors.items()})
+        row = {field: report[field] for field in fields}
+        row.update({f"mean_prop{r}": p for r, p in report["mean_proportions"].items()})
+        row.update({f"stderr{r}": e for r, e in report["std_errors"].items()})
         _emit([row], "csv")
     return 0
 
@@ -181,7 +176,9 @@ def cmd_degrees(args) -> int:
         word = parse_permutation(args.word)
     except ValueError as exc:
         return _usage_error(str(exc))
-    print(json.dumps(dataclasses.asdict(degree_histogram(word))))
+    counts, h = degree_histogram(word)
+    payload = {"n": len(word), "counts": dict(enumerate(counts)), "horizontal_edges": h}
+    print(json.dumps(payload))
     return 0
 
 
@@ -195,7 +192,7 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _build_parser(brute_cap: int) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridperm",
         description="Exact degree statistics of permutation grid graphs over Av_n(213)",
@@ -211,8 +208,11 @@ def _build_parser(brute_cap: int) -> argparse.ArgumentParser:
         help="comma-separated subset of brute,recurrence,closed",
     )
     verify.add_argument("--format", choices=("csv", "json"), default="csv")
-    verify.add_argument("--brute-cap", type=int, default=brute_cap)
-    verify.add_argument("--force", action="store_true")
+    verify.add_argument(
+        "--force",
+        action="store_true",
+        help=f"allow brute mode past n={DEFAULT_BRUTE_CAP}",
+    )
     verify.set_defaults(handler=cmd_verify)
 
     table = sub.add_parser("table", help="closed-form totals per n")
@@ -245,12 +245,7 @@ def _build_parser(brute_cap: int) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    env = os.environ.get(BRUTE_CAP_ENV)
-    try:
-        brute_cap = int(env) if env else DEFAULT_BRUTE_CAP
-    except ValueError:
-        return _usage_error(f"{BRUTE_CAP_ENV} must be an integer, got {env!r}")
-    args = _build_parser(brute_cap).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     # exact totals pass the interpreter's int->str digit limit (4,300
     # by default) near n = 7,200; lift it for this call where it exists
     digit_limit = (

@@ -15,22 +15,11 @@ predictions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .enumeration import central_binomial
 
 _SQRT_PI = math.sqrt(math.pi)
-
-
-def fraction_str(value: Fraction) -> str:
-    """Serialize an exact rational as "p/q"."""
-    return f"{value.numerator}/{value.denominator}"
-
-
-def format_float(value: float) -> str:
-    """Serialize a float with 12 significant digits."""
-    return format(value, ".12g")
 
 
 def _exact(numerator: int, denominator: int, what: str) -> int:
@@ -200,23 +189,16 @@ def asymptotic_proportions(n: int) -> dict[int, float]:
     }
 
 
-@dataclass(frozen=True)
-class ClosedFormReport:
-    """All closed-form outputs for one n."""
+def closed_form_report(n: int) -> dict:
+    """Values, expectations, proportions and predictions for one n.
 
-    n: int
-    values: dict[str, int]
-    expectations: dict[str, Fraction]
-    proportions: dict[int, Fraction]
-    asymptotic: dict[int, float]
-
-
-def closed_form_report(n: int) -> ClosedFormReport:
-    """Bundle values, expectations, proportions and predictions for one n."""
-    return ClosedFormReport(
-        n=n,
-        values=closed_aggregate(n),
-        expectations=expectations(n),
-        proportions=proportions(n),
-        asymptotic=asymptotic_proportions(n),
-    )
+    The keys are ``n``, ``values`` (the :func:`closed_aggregate` row),
+    ``expectations``, ``proportions`` and ``asymptotic``, in that order.
+    """
+    return {
+        "n": n,
+        "values": closed_aggregate(n),
+        "expectations": expectations(n),
+        "proportions": proportions(n),
+        "asymptotic": asymptotic_proportions(n),
+    }

@@ -91,13 +91,13 @@ def aggregate_stats(words: Iterable[Sequence[int]], n: int) -> dict[str, int]:
     h_total = 0
     vertices = 0
     degree_sum = 0
-    by_degree = {r: 0 for r in range(5)}
+    by_degree = [0] * 5
     descents = ascents = internal_min = internal_deg1 = 0
     for word in words:
         size += 1
-        hist = degree_histogram(word)
-        h_total += hist.horizontal_edges
-        for r, count in hist.counts.items():
+        counts, h = degree_histogram(word)
+        h_total += h
+        for r, count in enumerate(counts):
             by_degree[r] += count
             vertices += count
             degree_sum += r * count
@@ -107,7 +107,7 @@ def aggregate_stats(words: Iterable[Sequence[int]], n: int) -> dict[str, int]:
             k = word.index(1)
             internal_min += 1 <= k <= n - 2
             # an internal column's only possible degree-1 vertex is a peak top
-            internal_deg1 += hist.counts[1] - deg1_external_count(word)
+            internal_deg1 += counts[1] - deg1_external_count(word)
     return {
         "n": n,
         "class_size": size,

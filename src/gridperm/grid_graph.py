@@ -10,23 +10,13 @@ per column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 MAX_RENDER_COLUMNS = 40
 
 
-@dataclass(frozen=True)
-class DegreeHistogram:
-    """Vertex counts by degree 0..4 for one grid graph, plus its edge statistic."""
-
-    n: int
-    counts: dict[int, int]
-    horizontal_edges: int
-
-
-def degree_histogram(word: Sequence[int]) -> DegreeHistogram:
-    """Vertex counts by degree, and H, in one pass over the columns.
+def degree_histogram(word: Sequence[int]) -> tuple[list[int], int]:
+    """(counts, H): vertices of degree 0..4, and horizontal edges, in one pass.
 
     The vertex at level s of a column of height b, between neighbor
     heights a and c (0 past an end), has degree
@@ -34,6 +24,9 @@ def degree_histogram(word: Sequence[int]) -> DegreeHistogram:
     constant in s with breakpoints at 1, b, min(a, c) and max(a, c), so
     each column is counted piece by piece in O(1).  Every degree,
     Q2 and Q3 included, is counted directly.
+
+    >>> degree_histogram((4, 1, 3, 2))
+    ([0, 2, 6, 2, 0], 4)
     """
     counts = [0] * 5
     h = 0
@@ -58,9 +51,7 @@ def degree_histogram(word: Sequence[int]) -> DegreeHistogram:
             counts[4] += both
             counts[3] += some - both
             counts[2] += b - 2 - some
-    return DegreeHistogram(
-        n=len(word), counts=dict(enumerate(counts)), horizontal_edges=h
-    )
+    return counts, h
 
 
 # The benchmark's layer map still names the per-column histogram separately.

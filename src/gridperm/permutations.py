@@ -1,4 +1,4 @@
-"""Permutation words on {1..n}: validation, parsing and the 213 check.
+"""Permutation words on {1..n}: validation and parsing.
 
 Permutations are plain tuples of 1-based values, e.g. ``(4, 1, 3, 2)``;
 the empty tuple is the length-0 word.
@@ -15,25 +15,6 @@ def check_permutation(word: Sequence[int]) -> None:
     n = len(word)
     if sorted(word) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {tuple(word)!r}")
-
-
-def contains_213(word: Sequence[int]) -> bool:
-    """Linear-time 213 check via a monotone stack.
-
-    Scans left to right keeping an increasing stack of candidate middle
-    values; ``smallest_mid`` tracks the least value known to have a
-    smaller entry somewhere to its right.  Any later value above it
-    completes the pattern.
-    """
-    smallest_mid = None
-    stack: list[int] = []
-    for v in word:
-        if smallest_mid is not None and v > smallest_mid:
-            return True
-        while stack and stack[-1] > v:
-            smallest_mid = stack.pop()
-        stack.append(v)
-    return False
 
 
 _SEPARATORS = re.compile(r"[,\s]+")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -51,24 +50,14 @@ def sample_av213(n: int, rng: random.Random) -> tuple[int, ...]:
     return tuple(word)
 
 
-@dataclass(frozen=True)
-class SampleReport:
-    """Empirical degree shares from one deterministic sampling run."""
-
-    n: int
-    sample_count: int
-    seed: int
-    generator: str
-    mean_proportions: dict[int, float]
-    std_errors: dict[int, float]
-    mean_h: float
-
-
-def empirical_report(n: int, sample_count: int, seed: int) -> SampleReport:
+def empirical_report(n: int, sample_count: int, seed: int) -> dict:
     """Sample degree histograms and aggregate the proportions.
 
-    Counts are accumulated as integers and only converted to floats at
-    the end, so the report is a pure function of (n, sample_count, seed).
+    Returns the keys ``n``, ``sample_count``, ``seed``, ``generator``,
+    ``mean_proportions`` and ``std_errors`` (each keyed by degree 0..4)
+    and ``mean_h``, in that order.  Counts are accumulated as integers
+    and only converted to floats at the end, so the report is a pure
+    function of (n, sample_count, seed).
     """
     if n < 2:
         raise ValueError("empirical_report needs n >= 2")
@@ -81,12 +70,11 @@ def empirical_report(n: int, sample_count: int, seed: int) -> SampleReport:
     h_sum = 0
     for _ in range(sample_count):
         word = sample_av213(n, rng)
-        hist = degree_histogram(word)
-        for r in range(5):
-            c = hist.counts[r]
+        counts, h = degree_histogram(word)
+        for r, c in enumerate(counts):
             sums[r] += c
             sums_sq[r] += c * c
-        h_sum += hist.horizontal_edges
+        h_sum += h
     means = {}
     errors = {}
     for r in range(5):
@@ -101,12 +89,12 @@ def empirical_report(n: int, sample_count: int, seed: int) -> SampleReport:
             errors[r] = math.sqrt(max(0.0, float(var)) / sample_count)
         else:
             errors[r] = 0.0
-    return SampleReport(
-        n=n,
-        sample_count=sample_count,
-        seed=seed,
-        generator=GENERATOR_NAME,
-        mean_proportions=means,
-        std_errors=errors,
-        mean_h=h_sum / sample_count,
-    )
+    return {
+        "n": n,
+        "sample_count": sample_count,
+        "seed": seed,
+        "generator": GENERATOR_NAME,
+        "mean_proportions": means,
+        "std_errors": errors,
+        "mean_h": h_sum / sample_count,
+    }

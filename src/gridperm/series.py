@@ -19,9 +19,6 @@ from typing import Callable, Iterable, Sequence
 
 from .enumeration import catalan_list
 
-IDENTITY_IDS = ("HFE", "HX", "PX", "Q4FE", "Q4X")
-
-
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Exact power-series prefix: integer coefficients of x^0 .. x^order."""
@@ -231,6 +228,8 @@ _IDENTITY_BUILDERS: dict[str, Callable[[int, dict], TruncatedSeries]] = {
     "Q4FE": _residual_q4fe,
     "Q4X": _residual_q4x,
 }
+
+IDENTITY_IDS = tuple(_IDENTITY_BUILDERS)
 
 
 def check_identity(name: str, order: int, totals: dict) -> TruncatedSeries:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from dataclasses import dataclass
 from functools import lru_cache
 
-from gridperm import aggregate_brute, contains_213
+from gridperm import aggregate_brute
 from gridperm.permutations import check_permutation
 
 FILTER_CAP = 8
@@ -29,8 +29,8 @@ def contains_pattern(word, pattern):
 
     True iff some subsequence of ``word`` is order-isomorphic to
     ``pattern``.  This is the O(n^3) oracle; it is authoritative in
-    tests, with ``contains_213`` (production) and ``contains_312``
-    (below) as the fast routes.
+    tests, with ``contains_213`` and ``contains_312`` (below) as the
+    fast routes.
     """
     pattern = tuple(pattern)
     if len(pattern) != 3:
@@ -66,10 +66,10 @@ def enumerate_by_filter(n, pattern):
     )
 
 
-# Word helpers that production does not use: the mirror, the 312 check,
-# digit formatting and both directions of the block decomposition at the
-# minimum.  In a 213-avoiding word every entry left of the 1 exceeds
-# every entry right of it, so the word factors as
+# Word helpers that production does not use: the mirror, the 213 and 312
+# checks, digit formatting and both directions of the block decomposition
+# at the minimum.  In a 213-avoiding word every entry left of the 1
+# exceeds every entry right of it, so the word factors as
 # ``(alpha + j + 1) 1 (beta + 1)`` with both blocks again 213-avoiding.
 
 
@@ -88,6 +88,25 @@ def standardize(values):
 def reverse(word):
     """Left-right mirror of a word; applying it twice is the identity."""
     return tuple(word[::-1])
+
+
+def contains_213(word):
+    """Linear-time 213 check via a monotone stack.
+
+    Scans left to right keeping an increasing stack of candidate middle
+    values; ``smallest_mid`` tracks the least value known to have a
+    smaller entry somewhere to its right.  Any later value above it
+    completes the pattern.
+    """
+    smallest_mid = None
+    stack = []
+    for v in word:
+        if smallest_mid is not None and v > smallest_mid:
+            return True
+        while stack and stack[-1] > v:
+            smallest_mid = stack.pop()
+        stack.append(v)
+    return False
 
 
 def contains_312(word):

@@ -117,28 +117,19 @@ def test_verify_refuses_brute_beyond_cap(capsys):
     assert "cap" in err
 
 
-def test_verify_cap_override_needs_force(capsys):
-    code, out, err = run_cli(
-        capsys,
-        "verify",
-        "--n-max",
-        "6",
-        "--modes",
-        "brute,closed",
-        "--brute-cap",
-        "15",
-    )
+def test_verify_cap_override_needs_force(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "DEFAULT_BRUTE_CAP", 5)
+    argv = ("verify", "--n-min", "2", "--n-max", "6", "--modes", "brute,closed")
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
+    assert out == ""
+    assert "beyond the cap 5" in err and "--force" in err
+    code, out, err = run_cli(capsys, *argv, "--force")
+    assert code == 0
+    rows = parse_csv(out)
+    assert rows[-1]["n"] == "6" and all(row["equal"] == "True" for row in rows)
     code, out, err = run_cli(
-        capsys,
-        "verify",
-        "--n-max",
-        "6",
-        "--modes",
-        "brute,closed",
-        "--brute-cap",
-        "15",
-        "--force",
+        capsys, "verify", "--n-min", "2", "--n-max", "5", "--modes", "brute,closed"
     )
     assert code == 0
 
@@ -326,38 +317,6 @@ def test_render_too_large(capsys):
     word = ",".join(str(v) for v in range(1, 42))
     code, out, err = run_cli(capsys, "render", word)
     assert code == 2
-
-
-def test_brute_cap_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("GRIDPERM_BRUTE_CAP", "5")
-    code, out, err = run_cli(
-        capsys, "verify", "--n-min", "2", "--n-max", "6", "--modes", "brute,closed"
-    )
-    assert code == 2
-    assert "cap" in err
-    code, out, err = run_cli(
-        capsys, "verify", "--n-min", "2", "--n-max", "5", "--modes", "brute,closed"
-    )
-    assert code == 0
-
-
-def test_brute_cap_env_var_ignored_without_brute_mode(capsys, monkeypatch):
-    monkeypatch.setenv("GRIDPERM_BRUTE_CAP", "20")
-    code, out, err = run_cli(capsys, "verify", "--n-max", "4")
-    assert code == 0
-    assert err == ""
-    assert all(row["equal"] == "True" for row in parse_csv(out))
-
-
-@pytest.mark.parametrize(
-    "argv", [("verify", "--n-max", "4"), ("degrees", "4132")], ids=["verify", "degrees"]
-)
-def test_brute_cap_env_var_must_be_an_integer(capsys, monkeypatch, argv):
-    monkeypatch.setenv("GRIDPERM_BRUTE_CAP", "abc")
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err == "error: GRIDPERM_BRUTE_CAP must be an integer, got 'abc'\n"
 
 
 def test_verify_byte_identical_reruns(capsys):

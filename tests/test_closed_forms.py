@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from gridperm import (
     expectations,
     proportions,
 )
-from gridperm.closed_forms import format_float, fraction_str
+from gridperm.cli import main
 
 
 @pytest.mark.parametrize("n, expected", [(2, 2), (3, 14), (4, 76)])
@@ -116,13 +118,16 @@ def test_closed_aggregate_matches_known_row():
     assert catalan(3) == row["class_size"]
 
 
-def test_report_serialization():
+def test_report_serialization(capsys):
     report = closed_form_report(3)
-    assert report.values["H"] == 14
-    assert report.expectations["H"] == Fraction(14, 5)
-    assert fraction_str(report.proportions[1]) == "1/3"
-    assert fraction_str(Fraction(3, 7)) == "3/7"
-    assert format_float(0.9844910288045767) == "0.984491028805"
+    assert report["values"]["H"] == 14
+    assert report["expectations"]["H"] == Fraction(14, 5)
+    assert main(["table", "--n-min", "3", "--n-max", "3"]) == 0
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert row["prop1"] == "1/3"
+    assert [row[f"prop{r}"] for r in range(2, 5)] == ["2/5", "4/15", "0/1"]
+    assert row["pred1"] == "0.166666666667"
+    assert row["pred3"] == "0.76749503096"
 
 
 def test_integer_closed_forms_match_the_fraction_oracle():

@@ -25,4 +25,5 @@ import gridperm.series
 )
 def test_module_doctests(module):
     result = doctest.testmod(module)
+    assert result.attempted > 0
     assert result.failed == 0

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import adjacency_degrees, adjacency_histogram, all_permutations, reverse
 from gridperm import deg1_external_count, degree_histogram, render_ascii
+from gridperm.cli import main
 
 perm_words = st.integers(min_value=1, max_value=30).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)
@@ -25,27 +25,20 @@ def deg4_count_internal(a, b, c):
     [((1, 2), 1), ((4, 1, 3, 2), 4), ((3, 2, 1), 3), ((1,), 0), ((), 0)],
 )
 def test_horizontal_edge_count(word, expected):
-    assert degree_histogram(word).horizontal_edges == expected
+    assert degree_histogram(word)[1] == expected
 
 
 def test_degree_histogram_examples():
-    hist = degree_histogram((1, 2))
-    assert hist.counts == {0: 0, 1: 2, 2: 1, 3: 0, 4: 0}
-    assert hist.horizontal_edges == 1
-    hist = degree_histogram((4, 1, 3, 2))
-    assert hist.counts == {0: 0, 1: 2, 2: 6, 3: 2, 4: 0}
-    assert hist.horizontal_edges == 4
-    assert degree_histogram((2, 3, 4, 1)).counts[4] == 1
-    assert degree_histogram((1,)).counts == {0: 1, 1: 0, 2: 0, 3: 0, 4: 0}
+    assert degree_histogram((1, 2)) == ([0, 2, 1, 0, 0], 1)
+    assert degree_histogram((4, 1, 3, 2)) == ([0, 2, 6, 2, 0], 4)
+    assert degree_histogram((2, 3, 4, 1))[0][4] == 1
+    assert degree_histogram((1,))[0] == [1, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_histogram_matches_adjacency_oracle(n):
     for word in all_permutations(n):
-        hist = degree_histogram(word)
-        counts, horizontal = adjacency_histogram(word)
-        assert hist.counts == counts
-        assert hist.horizontal_edges == horizontal
+        assert_matches_oracle(word)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -53,27 +46,24 @@ def test_histogram_invariants(n):
     total_vertices = n * (n + 1) // 2
     vertical = n * (n - 1) // 2
     for word in all_permutations(n):
-        hist = degree_histogram(word)
-        assert sum(hist.counts.values()) == total_vertices
-        assert hist.counts[0] == 0
-        degree_total = sum(r * c for r, c in hist.counts.items())
-        assert degree_total == 2 * (vertical + hist.horizontal_edges)
+        counts, horizontal = degree_histogram(word)
+        assert sum(counts) == total_vertices
+        assert counts[0] == 0
+        degree_total = sum(r * c for r, c in enumerate(counts))
+        assert degree_total == 2 * (vertical + horizontal)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_reversal_isomorphism(n):
     for word in all_permutations(n):
-        mirrored = degree_histogram(reverse(word))
-        hist = degree_histogram(word)
-        assert hist.counts == mirrored.counts
-        assert hist.horizontal_edges == mirrored.horizontal_edges
+        assert degree_histogram(word) == degree_histogram(reverse(word))
 
 
 def assert_matches_oracle(word):
-    hist = degree_histogram(word)
-    counts, horizontal = adjacency_histogram(word)
-    assert hist.counts == counts
-    assert hist.horizontal_edges == horizontal
+    counts, horizontal = degree_histogram(word)
+    oracle_counts, oracle_horizontal = adjacency_histogram(word)
+    assert dict(enumerate(counts)) == oracle_counts
+    assert horizontal == oracle_horizontal
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -172,8 +162,9 @@ def test_render_refuses_oversized_words():
         render_ascii(tuple(range(1, 42)))
 
 
-def test_histogram_json_schema():
-    payload = json.loads(json.dumps(dataclasses.asdict(degree_histogram((4, 1, 3, 2)))))
+def test_histogram_json_schema(capsys):
+    assert main(["degrees", "4132"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload == {
         "n": 4,
         "counts": {"0": 0, "1": 2, "2": 6, "3": 2, "4": 0},

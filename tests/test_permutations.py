@@ -8,6 +8,7 @@ from conftest import (
     PatternViolationError,
     all_permutations,
     compose,
+    contains_213,
     contains_312,
     contains_pattern,
     decompose_by_min,
@@ -15,7 +16,7 @@ from conftest import (
     reverse,
     standardize,
 )
-from gridperm import contains_213, enumerate_av213, parse_permutation
+from gridperm import enumerate_av213, parse_permutation
 
 perm_words = st.integers(min_value=0, max_value=8).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)
