@@ -40,8 +40,15 @@ def catalan(n: int) -> int:
 
 
 def catalan_list(n_max: int) -> list[int]:
-    """Catalan numbers 0..n_max as one shared table."""
-    return [catalan(n) for n in range(n_max + 1)]
+    """Catalan numbers 0..n_max as one shared table, by the running
+    product C_{k+1} = C_k 2(2k + 1) / (k + 2), every division exact."""
+    table = [1] if n_max >= 0 else []
+    for k in range(n_max):
+        c, rem = divmod(table[-1] * 2 * (2 * k + 1), k + 2)
+        if rem:
+            raise RuntimeError(f"Catalan number {k + 1} is not an integer")
+        table.append(c)
+    return table
 
 
 def central_binomial(n: int) -> int:

@@ -9,14 +9,15 @@ the glue terms in one small function each, not algebraically
 simplified, so this route shares nothing with the closed-form module
 it is checked against.
 
-All five totals come from one pass over (n, i), :func:`gluing_totals`,
-the module's only entry point.  A split (i, j) and its mirror (j, i)
-hold the same two blocks, so the pass takes them together: each block
-product (C_j times a statistic of the size-i block, and C_i times one
-of the size-j block) is formed once and serves both splits.
+All five totals come from one pass over n, :func:`gluing_totals`, the
+module's only entry point.  What the blocks keep of a total S is the
+Catalan convolution 2 sum_i C_{n-1-i} S_i, the 2 x C S term of the
+functional equations (1 - 2 x C) S = ... that HFE and Q4FE check.
 """
 
 from __future__ import annotations
+
+from operator import mul, sub
 
 from .enumeration import catalan_list
 
@@ -99,35 +100,24 @@ def gluing_totals(n_max: int) -> dict[str, list[int]]:
     cat = catalan_list(max(n_max, 0))
     h, q4, d, jm, p = ([0] * (n_max + 1) for _ in STATISTICS)
     for n in range(1, n_max + 1):
-        h_n = q4_n = d_n = j_n = p_n = 0
-        for i in range((n + 1) // 2):
-            j = n - 1 - i
-            ci, cj = cat[i], cat[j]
-            words = ci * cj
-            # block products: each block's statistic summed over the
-            # C_i C_j words of the split, formed once for the split (i, j)
-            # and its mirror (j, i), which holds the same two blocks
-            h_i, h_j = cj * h[i], ci * h[j]
-            q4_i, q4_j = cj * q4[i], ci * q4[j]
-            d_i, d_j = cj * d[i], ci * d[j]
-            j_i, j_j = cj * jm[i], ci * jm[j]
-            p_i, p_j = cj * p[i], ci * p[j]
-            mirror = 1 if i != j else 0
-            splits = 1 + mirror
-            # every word keeps both blocks' own edges, degree-4 vertices
-            # (less one at an internal block minimum) and peaks, in
-            # either order; the glue terms depend on the order
-            h_n += splits * (h_i + h_j) + words * (
-                _h_glue(i, j) + mirror * _h_glue(j, i)
-            )
-            q4_n += splits * (q4_i + q4_j - j_i - j_j) + words * (
-                _q4_shift(i, j) + mirror * _q4_shift(j, i)
-            )
-            d_n += _descents(i, words, d_i)
-            if mirror:
-                d_n += _descents(j, words, d_j)
-            j_n += splits * _internal_min(i, j, words)
-            p_n += splits * (p_i + p_j + _new_peaks(i, j, d_i, d_j))
-        h[n], q4[n], d[n], jm[n], p[n] = h_n, q4_n, d_n, j_n, p_n
+        # entry i of each list belongs to the split (i, j = n - 1 - i)
+        i_s, j_s = range(n), range(n - 1, -1, -1)
+        cj = cat[n - 1 :: -1]
+        words = list(map(mul, cat, cj))
+        # C_j D_i; read backwards it is C_i D_j
+        left_d = list(map(mul, cj, d))
+        # every word keeps both blocks' own edges, degree-4 vertices
+        # (less one at an internal block minimum) and peaks: summed
+        # over all splits, sum_i (C_j S_i + C_i S_j) = 2 sum_i C_j S_i
+        h[n] = 2 * sum(map(mul, cj, h)) + sum(
+            map(mul, words, map(_h_glue, i_s, j_s))
+        )
+        q4[n] = 2 * sum(map(mul, cj, map(sub, q4, jm))) + sum(
+            map(mul, words, map(_q4_shift, i_s, j_s))
+        )
+        d[n] = sum(map(_descents, i_s, words, left_d))
+        jm[n] = sum(map(_internal_min, i_s, j_s, words))
+        p[n] = 2 * sum(map(mul, cj, p)) + sum(
+            map(_new_peaks, i_s, j_s, left_d, reversed(left_d))
+        )
     return dict(zip(STATISTICS, (h, q4, d, jm, p)))
-

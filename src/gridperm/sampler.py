@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from itertools import accumulate
 
 from .grid_graph import degree_histogram
@@ -78,15 +77,14 @@ def empirical_report(n: int, sample_count: int, seed: int) -> dict:
     means = {}
     errors = {}
     for r in range(5):
-        mean = Fraction(sums[r], sample_count * total_vertices)
-        means[r] = float(mean)
+        means[r] = sums[r] / (sample_count * total_vertices)
         if sample_count > 1:
-            # variance of the per-sample proportion, exact until the sqrt
-            var = (
-                Fraction(sums_sq[r], total_vertices**2)
-                - sample_count * mean * mean
-            ) / (sample_count - 1)
-            errors[r] = math.sqrt(max(0.0, float(var)) / sample_count)
+            # variance of the per-sample proportion: integer numerator
+            # and denominator, one correctly rounded division
+            var = (sample_count * sums_sq[r] - sums[r] ** 2) / (
+                sample_count * (sample_count - 1) * total_vertices**2
+            )
+            errors[r] = math.sqrt(max(0.0, var) / sample_count)
         else:
             errors[r] = 0.0
     return {

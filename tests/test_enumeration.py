@@ -21,7 +21,7 @@ from gridperm import (
     enumerate_av213,
     gluing_totals,
 )
-from gridperm.enumeration import CSV_FIELDS
+from gridperm.enumeration import CSV_FIELDS, catalan_list
 
 
 @pytest.mark.parametrize("n, expected", [(0, 1), (4, 14), (10, 16796), (12, 208012)])
@@ -31,6 +31,10 @@ def test_catalan_values(n, expected):
 
 def test_catalan_matches_convolution():
     assert [catalan(n) for n in range(16)] == catalan_by_convolution(15)
+
+
+def test_catalan_list_matches_catalan():
+    assert catalan_list(200) == [catalan(k) for k in range(201)]
 
 
 @pytest.mark.parametrize("n, expected", [(0, 1), (4, 70), (10, 184756)])

@@ -1,0 +1,49 @@
+"""The exact routes stay independent: neither imports the other or the series checks."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import gridperm
+
+PACKAGE = Path(gridperm.__file__).parent
+
+
+def gridperm_imports(module: str) -> set[str]:
+    """The gridperm modules that ``module`` imports, by short name."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            if base in (".", "gridperm"):
+                names = [f"gridperm.{alias.name}" for alias in node.names]
+            else:
+                names = [base]
+        else:
+            continue
+        for name in names:
+            if name.startswith((".", "gridperm.")):
+                found.add(name.rsplit(".", 1)[-1])
+    return found
+
+
+def test_import_scan_sees_the_cli_routes():
+    assert {"closed_forms", "recurrences", "series"} <= gridperm_imports("cli")
+    assert "enumeration" in gridperm_imports("recurrences")
+
+
+@pytest.mark.parametrize(
+    "module, forbidden",
+    [
+        ("recurrences", {"closed_forms", "series"}),
+        ("closed_forms", {"recurrences", "series"}),
+    ],
+)
+def test_exact_routes_do_not_import_each_other(module, forbidden):
+    assert not gridperm_imports(module) & forbidden
