@@ -22,11 +22,7 @@ from .enumeration import (
     central_binomial,
     enumerate_av213,
 )
-from .grid_graph import (
-    deg1_external_count,
-    degree_histogram,
-    render_ascii,
-)
+from .grid_graph import degree_histogram, render_ascii
 from .permutations import parse_permutation
 from .recurrences import gluing_totals
 from .sampler import empirical_report, sample_av213

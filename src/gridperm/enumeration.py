@@ -1,15 +1,17 @@
 """Catalan counting, exhaustive generation of Av_n(213), and brute aggregates.
 
 The generator builds each 213-avoider exactly once from the block
-decomposition (output-linear, no filtering).
+decomposition at the minimum (output-linear, no filtering), each block
+at its final values.  The brute aggregate adds one histogram per member.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .grid_graph import deg1_external_count, degree_histogram
+from .grid_graph import degree_histogram
 
 DEFAULT_BRUTE_CAP = 14
 
@@ -56,21 +58,18 @@ def central_binomial(n: int) -> int:
     return math.comb(2 * n, n)
 
 
-def _generate(n: int) -> Iterator[tuple[int, ...]]:
-    # splits by increasing left-block size, blocks in recursive order;
-    # the order is part of the contract (reproducible streams)
+def _generate(n: int, low: int = 1) -> Iterator[tuple[int, ...]]:
+    # Av_n(213) on the values low..low+n-1 as alpha low beta, alpha on the
+    # top i values; splits by increasing left-block size, blocks in
+    # recursive order; the order is part of the contract (reproducible streams)
     if n == 0:
         yield ()
         return
     for i in range(n):
         j = n - 1 - i
-        for alpha in _generate(i):
-            prefix = tuple(a + j + 1 for a in alpha) + (1,)
-            if j == 0:
-                yield prefix
-            else:
-                for beta in _generate(j):
-                    yield prefix + tuple(b + 1 for b in beta)
+        for alpha in _generate(i, low + j + 1):
+            for beta in _generate(j, low + 1):
+                yield alpha + (low,) + beta
 
 
 def enumerate_av213(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -94,33 +93,31 @@ def aggregate_stats(words: Iterable[Sequence[int]], n: int) -> dict[str, int]:
     V counts degree-0 vertices too.  Streams one histogram at a time;
     memory stays O(n) no matter how large the class is.
     """
-    size = 0
-    h_total = 0
-    vertices = 0
-    degree_sum = 0
+    size = h_total = descents = ascents = internal_min = 0
     by_degree = [0] * 5
-    descents = ascents = internal_min = internal_deg1 = 0
     for word in words:
         size += 1
         counts, h = degree_histogram(word)
         h_total += h
-        for r, count in enumerate(counts):
-            by_degree[r] += count
-            vertices += count
-            degree_sum += r * count
+        by_degree = list(map(add, by_degree, counts))
         if n >= 2:
             descents += word[0] > word[1]
             ascents += word[-2] < word[-1]
-            k = word.index(1)
-            internal_min += 1 <= k <= n - 2
-            # an internal column's only possible degree-1 vertex is a peak top
-            internal_deg1 += counts[1] - deg1_external_count(word)
+            internal_min += 1 <= word.index(1) <= n - 2
+    # Only a column's top vertex can have degree 1 at an end of the word,
+    # so a word's external degree-1 vertices number
+    # [w_0 = 1] + [w_0 > w_1] + [w_{n-1} = 1] + [w_{n-2} < w_{n-1}].  For
+    # n >= 2 the minimum sits first, last or inside, so over the class the
+    # two end terms sum to class_size - J, and P = Q1 - D - A - (class_size - J).
+    internal_deg1 = 0
+    if n >= 2:
+        internal_deg1 = by_degree[1] - descents - ascents - (size - internal_min)
     return {
         "n": n,
         "class_size": size,
         "H": h_total,
-        "V": vertices,
-        "Sigma": degree_sum,
+        "V": sum(by_degree),
+        "Sigma": sum(r * count for r, count in enumerate(by_degree)),
         **{f"Q{r}": by_degree[r] for r in range(1, 5)},
         "D": descents,
         "A": ascents,

@@ -58,24 +58,6 @@ def degree_histogram(word: Sequence[int]) -> tuple[list[int], int]:
 degree_histogram_fast = degree_histogram
 
 
-def deg1_external_count(word: Sequence[int]) -> int:
-    """Degree-1 vertices contributed by the first and last columns.
-
-    Only the top vertex of an external column can have degree 1: in the
-    first column that happens iff the column has height 1 or starts a
-    descent, mirrored for the last column.
-    """
-    n = len(word)
-    if n < 2:
-        raise ValueError("deg1_external_count needs n >= 2")
-    return (
-        (word[0] == 1)
-        + (word[0] > word[1])
-        + (word[-1] == 1)
-        + (word[-2] < word[-1])
-    )
-
-
 def render_ascii(word: Sequence[int]) -> str:
     """Character drawing of the grid graph: columns, bars, and level ties.
 

@@ -67,10 +67,11 @@ def enumerate_by_filter(n, pattern):
 
 
 # Word helpers that production does not use: the mirror, the 213 and 312
-# checks, digit formatting and both directions of the block decomposition
-# at the minimum.  In a 213-avoiding word every entry left of the 1
-# exceeds every entry right of it, so the word factors as
-# ``(alpha + j + 1) 1 (beta + 1)`` with both blocks again 213-avoiding.
+# checks, digit formatting, both directions of the block decomposition
+# at the minimum and the external degree-1 count.  In a 213-avoiding
+# word every entry left of the 1 exceeds every entry right of it, so the
+# word factors as ``(alpha + j + 1) 1 (beta + 1)`` with both blocks
+# again 213-avoiding.
 
 
 class PatternViolationError(ValueError):
@@ -164,6 +165,25 @@ def compose(alpha, beta):
             raise ValueError(f"{name} block contains 213: {tuple(block)!r}")
     j = len(beta)
     return tuple(a + j + 1 for a in alpha) + (1,) + tuple(b + 1 for b in beta)
+
+
+def deg1_external_count(word):
+    """Degree-1 vertices contributed by the first and last columns.
+
+    Only the top vertex of an external column can have degree 1: in the
+    first column that happens iff the column has height 1 or starts a
+    descent, mirrored for the last column.  The brute aggregate derives
+    P from this count summed over the class.
+    """
+    n = len(word)
+    if n < 2:
+        raise ValueError("deg1_external_count needs n >= 2")
+    return (
+        (word[0] == 1)
+        + (word[0] > word[1])
+        + (word[-1] == 1)
+        + (word[-2] < word[-1])
+    )
 
 
 def adjacency_degrees(word):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 
 from conftest import (
@@ -7,6 +9,7 @@ from conftest import (
     all_permutations,
     brute_stats,
     catalan_by_convolution,
+    compose,
     contains_pattern,
     enumerate_by_filter,
     pascal_binomial,
@@ -73,6 +76,24 @@ def test_enumeration_order_is_deterministic():
         (2, 3, 1),
         (3, 2, 1),
     ]
+
+
+@lru_cache(maxsize=None)
+def composed_stream(n):
+    """Av_n(213) in the contract order, glued by the ``conftest.compose`` reference."""
+    if n == 0:
+        return ((),)
+    return tuple(
+        compose(alpha, beta)
+        for i in range(n)
+        for alpha in composed_stream(i)
+        for beta in composed_stream(n - 1 - i)
+    )
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_enumeration_order_matches_composed_reference(n):
+    assert list(enumerate_av213(n)) == list(composed_stream(n))
 
 
 @pytest.mark.parametrize("n", range(11))
@@ -200,6 +221,12 @@ def test_aggregate_degenerate_lengths():
     assert row1["class_size"] == 1 and row1["V"] == 1 and row1["Sigma"] == 0
     # the single vertex has degree 0: V counts it, Q1..Q4 do not
     assert row1["V"] - sum(row1[f"Q{r}"] for r in range(1, 5)) == 1
+    # no boundary statistic below n = 2
+    for n in (0, 1):
+        row = brute_stats(n)
+        assert (row["D"], row["A"], row["J"], row["P"]) == (0, 0, 0, 0)
+    # an empty stream gives an all-zero row, P included
+    assert aggregate_stats(iter(()), 5) == {"n": 5, **dict.fromkeys(CSV_FIELDS[1:], 0)}
 
 
 def test_permutation_universe_sanity():
