@@ -212,6 +212,45 @@ def adjacency_histogram(word):
     return counts, horizontal
 
 
+def placement_steps(n, placement):
+    """The 2n+1 steps, +1 at each position of ``placement`` and -1 elsewhere."""
+    steps = [-1] * (2 * n + 1)
+    for i in placement:
+        steps[i] = 1
+    return steps
+
+
+def first_lowest_point(steps):
+    """Index of the first lowest prefix height; height i is taken after step i."""
+    heights = list(itertools.accumulate(steps))
+    return heights.index(min(heights))
+
+
+def placement_word(n, placement):
+    """The 213-avoider that a placement of n up-steps among 2n+1 steps maps to.
+
+    The sampler's placement-to-word map read with plain lists, as the
+    sampler computed it before it read the lowest point off a table:
+    steps are +1/-1, heights are their prefix sums, the Dyck path starts
+    just after the first lowest height, and the rotated path is read as
+    stack moves (push on an up-step, pop to the output on a down-step),
+    then reversed.
+    """
+    steps = placement_steps(n, placement)
+    start = first_lowest_point(steps) + 1
+    stack = []
+    word = []
+    value = 0
+    for step in steps[start:] + steps[: start - 1]:
+        if step > 0:
+            value += 1
+            stack.append(value)
+        else:
+            word.append(stack.pop())
+    word.reverse()
+    return tuple(word)
+
+
 def pascal_binomial(n, k):
     """binom(n, k) by the Pascal recurrence, independent of math.comb."""
     row = [1]

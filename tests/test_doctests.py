@@ -12,6 +12,7 @@ import gridperm.enumeration
 import gridperm.grid_graph
 import gridperm.permutations
 import gridperm.recurrences
+import gridperm.sampler
 import gridperm.series
 
 
@@ -23,6 +24,7 @@ import gridperm.series
         gridperm.enumeration,
         gridperm.closed_forms,
         gridperm.recurrences,
+        gridperm.sampler,
         gridperm.series,
     ],
 )
