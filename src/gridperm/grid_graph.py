@@ -4,8 +4,10 @@ The graph of a word ``p`` has a column of height ``p[i-1]`` over slot
 ``i``, vertical edges between consecutive levels inside a column, and
 horizontal edges between equal levels of adjacent columns.  Adjacency is
 never materialized: every statistic is read off the height profile.
-There is one degree histogram, :func:`degree_histogram`, with O(1) work
-per column.
+There is one degree histogram, :func:`degree_histogram`.  Per column it
+does only the comparisons and sums that depend on the heights; what
+depends only on the column position, the number of height-1 columns and
+the total height is added once after the loop.
 """
 
 from __future__ import annotations
@@ -16,42 +18,91 @@ MAX_RENDER_COLUMNS = 40
 
 
 def degree_histogram(word: Sequence[int]) -> tuple[list[int], int]:
-    """(counts, H): vertices of degree 0..4, and horizontal edges, in one pass.
+    """(counts, H): vertices of degree 0..4, and horizontal edges.
 
     The vertex at level s of a column of height b, between neighbor
     heights a and c (0 past an end), has degree
-    (s > 1) + (s < b) + (s <= a) + (s <= c).  That is piecewise
-    constant in s with breakpoints at 1, b, min(a, c) and max(a, c), so
-    each column is counted piece by piece in O(1).  Every degree,
-    Q2 and Q3 included, is counted directly.
+    (s > 1) + (s < b) + (s <= a) + (s <= c).  With lo = min(a, c) and
+    hi = max(a, c), a column of height b >= 2 is one of three cases:
+
+    - valley, b <= lo: the top ties both sides (degree 3), and so does
+      every middle level 2..b-1 (degree 4);
+    - one side, lo < b <= hi: the top ties one side (degree 2); the
+      middle levels up to lo tie both sides, the rest one side;
+    - peak, b > hi: the top ties neither side (degree 1); the middle
+      levels up to lo tie both sides, those up to hi one side, and the
+      b - 1 - hi above hi none (degree 2).
+
+    The loop does only this data-dependent work: per column it adds
+    min(b, c) to H and min(a, b, c) to ``both``, counts valleys and
+    peaks, and adds b - hi of each peak to ``free``.  Everything that
+    depends only on the column position, ``word.count(1)`` and
+    ``sum(word)`` is added once after the loop: the bottom vertex of
+    each column of height >= 2 (degree 1 + its neighbors), the single
+    vertex of each height-1 column (degree = its neighbors), the sum of
+    b - 2 middle levels over the columns, and the per-column offsets of
+    ``both`` and ``free``.  Q2 and Q3 are counted from these pieces,
+    not derived from the degree sum.
 
     >>> degree_histogram((4, 1, 3, 2))
     ([0, 2, 6, 2, 0], 4)
     """
-    counts = [0] * 5
-    h = 0
+    n = len(word)
+    if n < 2:
+        if not n:
+            return [0] * 5, 0
+        b = word[0]
+        # a lone column: degree-1 bottom and top, untied middle levels
+        return ([1, 0, 0, 0, 0] if b == 1 else [0, 2, b - 2, 0, 0]), 0
+    h = both = free = valleys = peaks = 0
     padded = (0, *word, 0)
+    # A height-1 column also passes through the loop: inside the word it
+    # counts as a valley, at an end as one side; the corrections below
+    # take it out again.
     for a, b, c in zip(padded, word, padded[2:]):
-        h += b if b < c else c
-        ends = (a > 0) + (c > 0)
-        if b == 1:
-            counts[ends] += 1
-            continue
-        counts[1 + ends] += 1  # bottom: upward edge plus a tie per neighbor
-        counts[1 + (b <= a) + (b <= c)] += 1  # top: downward edge plus ties
-        if b > 2:
-            # middle levels 2..b-1: both vertical edges, ties up to a and c
-            lo, hi = (a, c) if a < c else (c, a)
-            both = lo - 1 if lo < b else b - 2
-            some = hi - 1 if hi < b else b - 2
-            if both < 0:
-                both = 0
-            if some < 0:
-                some = 0
-            counts[4] += both
-            counts[3] += some - both
-            counts[2] += b - 2 - some
-    return counts, h
+        if b <= c:
+            h += b
+            if b <= a:
+                valleys += 1
+                both += b
+            else:
+                both += a
+        else:
+            h += c
+            if b <= a:
+                both += c
+            else:
+                peaks += 1
+                if a < c:
+                    both += a
+                    free += b - c
+                else:
+                    both += c
+                    free += b - a
+    ones = word.count(1)
+    end_ones = (word[0] == 1) + (word[-1] == 1)
+    inner_ones = ones - end_ones
+    tall_ends = 2 - end_ones
+    valleys -= inner_ones
+    # min(a, b, c) is 0 at an end column; inside the word it is one more
+    # than the middle levels tied on both sides, two more at a valley
+    both -= n - 2 + valleys
+    # only a peak has untied middle levels, b - 1 - hi of them
+    free -= peaks
+    middle = sum(word) - 2 * n + ones  # sum of b - 2 over columns with b >= 2
+    sides = n - ones - valleys - peaks
+    return [
+        0,
+        # height-1 end columns; peak tops
+        end_ones + peaks,
+        # height-1 inner columns; bottoms of the other end columns;
+        # one-side tops; untied middle levels
+        inner_ones + tall_ends + sides + free,
+        # bottoms of the other inner columns; valley tops; middle levels
+        # tied on one side
+        n - 2 - inner_ones + valleys + middle - both - free,
+        both,
+    ], h
 
 
 # The benchmark's layer map still names the per-column histogram separately.

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import random
+from operator import add, mul
 
 from .grid_graph import degree_histogram
 
@@ -147,9 +148,8 @@ def empirical_report(n: int, sample_count: int, seed: int) -> dict:
     for _ in range(sample_count):
         word = sample_av213(n, rng)
         counts, h = degree_histogram(word)
-        for r, c in enumerate(counts):
-            sums[r] += c
-            sums_sq[r] += c * c
+        sums = list(map(add, sums, counts))
+        sums_sq = list(map(add, sums_sq, map(mul, counts, counts)))
         h_sum += h
     means = {}
     errors = {}

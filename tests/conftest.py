@@ -194,10 +194,10 @@ def adjacency_degrees(word):
         for s in range(1, word[i - 1] + 1)
     }
     return {
-        (i, s): sum(
-            (i + di, s + ds) in vertices
-            for di, ds in ((1, 0), (-1, 0), (0, 1), (0, -1))
-        )
+        (i, s): ((i + 1, s) in vertices)
+        + ((i - 1, s) in vertices)
+        + ((i, s + 1) in vertices)
+        + ((i, s - 1) in vertices)
         for i, s in vertices
     }
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -13,12 +14,14 @@ from conftest import (
     deg1_external_count,
     reverse,
 )
-from gridperm import degree_histogram, render_ascii
+from gridperm import degree_histogram, render_ascii, sample_av213
 from gridperm.cli import main
 
 perm_words = st.integers(min_value=1, max_value=30).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)
 )
+# column profiles beyond permutations: repeated heights, runs of 1s
+general_words = st.lists(st.integers(min_value=1, max_value=6), max_size=12).map(tuple)
 
 
 def deg4_count_internal(a, b, c):
@@ -75,6 +78,23 @@ def test_fast_histogram_agrees_with_per_vertex_tally(n):
 @given(perm_words)
 def test_fast_histogram_agrees_on_random_words(word):
     assert_matches_oracle(word)
+
+
+@given(general_words)
+def test_histogram_agrees_on_general_words(word):
+    assert_matches_oracle(word)
+
+
+@pytest.mark.parametrize("word", [(), (1,), (2,), (3,), (7,), (1, 1), (2, 2), (1, 1, 1)])
+def test_histogram_agrees_on_short_and_flat_words(word):
+    assert_matches_oracle(word)
+
+
+@pytest.mark.parametrize("n", [40, 200])
+def test_histogram_agrees_on_long_sampled_words(n):
+    rng = random.Random(n)
+    for _ in range(30):
+        assert_matches_oracle(sample_av213(n, rng))
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""The exact routes stay independent: neither imports the other or the series checks."""
+"""The exact routes stay independent: neither imports the other or the series
+checks; and production keeps one histogram body."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import gridperm
+from gridperm import grid_graph
 
 PACKAGE = Path(gridperm.__file__).parent
 
@@ -47,3 +49,15 @@ def test_import_scan_sees_the_cli_routes():
 )
 def test_exact_routes_do_not_import_each_other(module, forbidden):
     assert not gridperm_imports(module) & forbidden
+
+
+def test_one_histogram_body():
+    names = [
+        node.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "histogram" in node.name
+    ]
+    assert names == ["degree_histogram"]
+    assert grid_graph.degree_histogram_fast is grid_graph.degree_histogram
