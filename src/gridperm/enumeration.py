@@ -2,7 +2,11 @@
 
 The generator builds each 213-avoider exactly once from the block
 decomposition at the minimum (output-linear, no filtering), each block
-at its final values.  The brute aggregate adds one histogram per member.
+at its final values.  A right block of at most ceil(n/2) values is built
+once per split and glued to every left block, so the live caches hold
+O(C_{ceil(n/2)}) tuples: at most 434 at the cap n = 14, C_7 = 429 of
+them in the outermost cache.  The brute aggregate adds one histogram
+per member.
 """
 
 from __future__ import annotations
@@ -67,18 +71,30 @@ def _generate(n: int, low: int = 1) -> Iterator[tuple[int, ...]]:
         return
     for i in range(n):
         j = n - 1 - i
-        for alpha in _generate(i, low + j + 1):
-            for beta in _generate(j, low + 1):
-                yield alpha + (low,) + beta
+        if i >= 2 and 2 * j <= n + 1:
+            # several left blocks share one short right block: build it once
+            tails = [(low,) + beta for beta in _generate(j, low + 1)]
+            for alpha in _generate(i, low + j + 1):
+                for tail in tails:
+                    yield alpha + tail
+        else:
+            for alpha in _generate(i, low + j + 1):
+                head = alpha + (low,)
+                for beta in _generate(j, low + 1):
+                    yield head + beta
 
 
 def enumerate_av213(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
     """Yield every member of Av_n(213) exactly once, in a fixed order.
 
     Generated recursively by gluing smaller avoiders around a new
-    minimum, so the stream is output-linear and needs O(n) memory.
-    Guarded by ``cap`` (default 14) because the class grows like 4^n.
+    minimum, so the stream is output-linear.  Right blocks of at most
+    ceil(n/2) values are kept and reused, so memory is O(C_{ceil(n/2)})
+    tuples.  Guarded by ``cap`` (default 14) because the class grows
+    like 4^n; a negative ``n`` is refused.
     """
+    if n < 0:
+        raise ValueError(f"n={n} is negative")
     limit = DEFAULT_BRUTE_CAP if cap is None else cap
     if n > limit:
         raise ValueError(
@@ -90,13 +106,13 @@ def enumerate_av213(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]
 def aggregate_stats(words: Iterable[Sequence[int]], n: int) -> dict[str, int]:
     """Class totals over a stream of words, one row keyed by ``CSV_FIELDS``.
 
-    V counts degree-0 vertices too.  Streams one histogram at a time;
-    memory stays O(n) no matter how large the class is.
+    V counts degree-0 vertices too.  Streams one histogram at a time, so
+    the memory is the stream's own: O(C_{ceil(n/2)}) tuples for
+    ``enumerate_av213``.
     """
     size = h_total = descents = ascents = internal_min = 0
     by_degree = [0] * 5
-    for word in words:
-        size += 1
+    for size, word in enumerate(words, 1):
         counts, h = degree_histogram(word)
         h_total += h
         by_degree = list(map(add, by_degree, counts))

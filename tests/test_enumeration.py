@@ -91,7 +91,7 @@ def composed_stream(n):
     )
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", range(11))
 def test_enumeration_order_matches_composed_reference(n):
     assert list(enumerate_av213(n)) == list(composed_stream(n))
 
@@ -111,6 +111,13 @@ def test_enumeration_cap():
         list(enumerate_av213(15))
     # explicit cap overrides the default guard
     assert sum(1 for _ in enumerate_av213(5, cap=5)) == 42
+
+
+def test_negative_n_is_refused():
+    with pytest.raises(ValueError, match="negative"):
+        enumerate_av213(-1)
+    with pytest.raises(ValueError, match="negative"):
+        aggregate_brute(-2)
 
 
 @pytest.mark.parametrize("n", range(0, 9))

@@ -1,5 +1,6 @@
 """The exact routes stay independent: neither imports the other or the series
-checks; and production keeps one histogram body."""
+checks; production keeps one histogram body; and the brute route computes
+every member's histogram itself."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import gridperm
-from gridperm import grid_graph
+from gridperm import catalan, enumeration, grid_graph
 
 PACKAGE = Path(gridperm.__file__).parent
 
@@ -61,3 +62,16 @@ def test_one_histogram_body():
     ]
     assert names == ["degree_histogram"]
     assert grid_graph.degree_histogram_fast is grid_graph.degree_histogram
+
+
+def test_brute_computes_one_histogram_per_member(monkeypatch):
+    calls = 0
+
+    def counted(word):
+        nonlocal calls
+        calls += 1
+        return grid_graph.degree_histogram(word)
+
+    monkeypatch.setattr(enumeration, "degree_histogram", counted)
+    enumeration.aggregate_brute(8)
+    assert calls == catalan(8) == 1430
