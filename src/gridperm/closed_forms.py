@@ -4,10 +4,14 @@ Each formula mixes central binomials with powers of four over a
 polynomial denominator; that such quotients are integers is itself a
 nontrivial fact.  So every total is an integer numerator divided by its
 denominator with ``divmod``, and a nonzero remainder raises
-RuntimeError.  Each public call computes B_n = binom(2n, n) once and
-passes it to the private evaluators, one per quantity; the Catalan
+RuntimeError.  Each public function computes B_n = binom(2n, n) itself
+and passes it to the private evaluators, one per quantity; the Catalan
 numbers C_n = B_n / (n+1) and C_{n-1} = B_n / (2(2n-1)) come from it by
-the same asserted division.  Rationals appear only as the reduced
+the same asserted division.  Public functions call each other, so B_n
+is computed more than once per n: twice in ``closed_aggregate`` (once
+inside ``deg2_deg3_totals``) and seven times for one ``table`` row.
+Computing it once per row is ROADMAP item 2, which moves the pinned
+benchmark counts.  Rationals appear only as the reduced
 expectations and proportions, floats only in the asymptotic
 predictions.
 """

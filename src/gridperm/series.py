@@ -2,20 +2,23 @@
 
 A :class:`TruncatedSeries` stores integer coefficients 0..order and
 keeps every operation exact; binary operations on mismatched orders
-truncate to the shorter one.  Every series the identities use has
-integer coefficients, so no rational arithmetic is needed.  On top of
-the arithmetic sit the algebraic elements used by the verification
-suite (the Catalan series and the powers (1-4x)^(k/2)) and
-:func:`check_identity`, which rebuilds each generating-function
-identity from the sequences of one ``recurrences.gluing_totals`` pass
-and returns the left-minus-right residual.
+truncate to the shorter one.  The residuals rely on that rule: each is
+built through order + 1 from one operand of order ``order`` (C' or the
+shifted Q4X numerator), so it has order ``order`` with no truncation.
+Every series the identities use has integer coefficients, so no
+rational arithmetic is needed.  On top of the arithmetic sit the
+algebraic elements used by the verification suite (the Catalan series
+and the powers (1-4x)^(k/2)) and :func:`check_identity`, which rebuilds
+each generating-function identity from the sequences of one
+``recurrences.gluing_totals`` pass and returns the left-minus-right
+residual.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .enumeration import catalan_list
 
@@ -26,12 +29,13 @@ class TruncatedSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("a series needs at least its constant term")
         # operator.index rejects rationals and floats rather than coercing them
         object.__setattr__(
             self, "coeffs", tuple(operator.index(c) for c in self.coeffs)
         )
+        # checked after the conversion, so an empty iterator is refused too
+        if not self.coeffs:
+            raise ValueError("a series needs at least its constant term")
 
     @property
     def order(self) -> int:
@@ -43,26 +47,15 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(self.coeffs[: order + 1])
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        k = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs))[: k + 1]
-        )
+        return TruncatedSeries(tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        k = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs))[: k + 1]
-        )
+        return TruncatedSeries(tuple(map(operator.sub, self.coeffs, other.coeffs)))
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -81,33 +74,14 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def differentiate(self) -> "TruncatedSeries":
-        """Termwise derivative; the order drops by one.
+        """Termwise derivative; the order drops by one, so order 0 is refused.
 
         >>> polynomial([0, 0, 1], 3).differentiate().coeffs
         (0, 2, 0)
         """
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 series")
         return TruncatedSeries(
             tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1)
         )
-
-    def divide_by_x(self) -> "TruncatedSeries":
-        """Shift the series down one power; requires a zero constant term."""
-        if self.coeffs[0] != 0:
-            raise ValueError("divide_by_x needs a zero constant term")
-        if self.order == 0:
-            raise ValueError("divide_by_x needs order >= 1")
-        return TruncatedSeries(self.coeffs[1:])
-
-
-def from_values(values: Iterable[int]) -> TruncatedSeries:
-    """Build a series whose coefficient at x^k is values[k]."""
-    return TruncatedSeries(tuple(values))
-
-
-def one(order: int) -> TruncatedSeries:
-    return polynomial([1], order)
 
 
 def polynomial(coefficients: Sequence[int], order: int) -> TruncatedSeries:
@@ -150,55 +124,46 @@ def catalan_series(order: int) -> TruncatedSeries:
     >>> catalan_series(4).coeffs
     (1, 1, 2, 5, 14)
     """
-    return from_values(catalan_list(order))
+    return TruncatedSeries(catalan_list(order))
 
 
-def _x(order: int) -> TruncatedSeries:
-    return polynomial([0, 1], order)
+def _basis(order: int) -> tuple[TruncatedSeries, ...]:
+    """x, 1 and the Catalan series C through order + 1, and C' through ``order``."""
+    k = order + 1
+    c = catalan_series(k)
+    return polynomial([0, 1], k), polynomial([1], k), c, c.differentiate()
 
 
 def _residual_hfe(order: int, totals: dict) -> TruncatedSeries:
-    k = order + 1
-    c = catalan_series(k)
-    cp = c.differentiate()
-    x = _x(k)
-    u = one(k)
-    h = from_values(totals["H"])
+    x, u, c, cp = _basis(order)
+    h = TruncatedSeries(totals["H"])
     lhs = (u - 2 * (x * c)) * h
     rhs = x * (x * cp - c + u) * (x * cp + 2 * c) + 2 * (c - u - x * c)
-    return (lhs - rhs).truncate(order)
+    return lhs - rhs
 
 
 def _residual_hx(order: int, totals: dict) -> TruncatedSeries:
-    x = _x(order)
-    h = from_values(totals["H"])
+    x = polynomial([0, 1], order)
+    h = TruncatedSeries(totals["H"])
     rhs = x * half_power(-3, order) - x * half_power(-2, order)
     return h - rhs
 
 
 def _residual_px(order: int, totals: dict) -> TruncatedSeries:
-    k = order + 1
-    c = catalan_series(k)
-    cp = c.differentiate()
-    x = _x(k)
-    u = one(k)
-    p = from_values(totals["P"])
-    return (p - x * (x * cp - c + u)).truncate(order)
+    x, u, c, cp = _basis(order)
+    p = TruncatedSeries(totals["P"])
+    return p - x * (x * cp - c + u)
 
 
 def _residual_q4fe(order: int, totals: dict) -> TruncatedSeries:
-    k = order + 1
-    c = catalan_series(k)
-    cp = c.differentiate()
-    x = _x(k)
-    u = one(k)
+    x, u, c, cp = _basis(order)
     a = x * cp - 2 * c + 2 * u + x
     j = (u - 2 * x) * c + x - u
     xc_prime = (x * c).differentiate()
-    q4 = from_values(totals["Q4"])
+    q4 = TruncatedSeries(totals["Q4"])
     lhs = (u - 2 * (x * c)) * q4
     rhs = x * a * (c + xc_prime) - 2 * (x * c) * j
-    return (lhs - rhs).truncate(order)
+    return lhs - rhs
 
 
 def _residual_q4x(order: int, totals: dict) -> TruncatedSeries:
@@ -216,9 +181,9 @@ def _residual_q4x(order: int, totals: dict) -> TruncatedSeries:
         )
     # Q4X is numerator / (2x (1 - 4x)^2); the residual compares 2 Q4 with
     # the rest, so a failing residual is twice the Q4 discrepancy
-    closed = numerator.divide_by_x() * half_power(-4, k)
-    q4 = from_values(totals["Q4"])
-    return (2 * q4 - closed).truncate(order)
+    closed = TruncatedSeries(numerator.coeffs[1:]) * half_power(-4, k)
+    q4 = TruncatedSeries(totals["Q4"])
+    return 2 * q4 - closed
 
 
 _IDENTITY_BUILDERS: dict[str, Callable[[int, dict], TruncatedSeries]] = {

@@ -13,7 +13,9 @@ from fractions import Fraction
 from dataclasses import dataclass
 from functools import lru_cache
 
-from gridperm import aggregate_brute
+import pytest
+
+from gridperm import aggregate_brute, series
 from gridperm.permutations import check_permutation
 
 FILTER_CAP = 8
@@ -333,3 +335,16 @@ def fraction_proportions(n):
     """Degree shares of the vertices from ``fraction_closed_row``."""
     row = fraction_closed_row(n)
     return {r: Fraction(row[f"Q{r}"], row["V"]) for r in range(1, 5)}
+
+
+@pytest.fixture
+def doubled_sqrt(monkeypatch):
+    """Make ``series.half_power(1, order)`` return 2 sqrt(1 - 4x), so the Q4X
+    numerator keeps the constant term 5 - 2 * 5 = -5."""
+    half_power = series.half_power
+
+    def doubled(k, order):
+        root = half_power(k, order)
+        return 2 * root if k == 1 else root
+
+    monkeypatch.setattr(series, "half_power", doubled)

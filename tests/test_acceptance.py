@@ -31,7 +31,6 @@ from gridperm import (
 from gridperm.series import (
     catalan_series,
     check_identity,
-    one,
     polynomial,
 )
 
@@ -100,7 +99,7 @@ def test_criterion_4_series_residuals():
         assert residual.is_zero(), f"identity {name} has a nonzero residual"
     c = catalan_series(order)
     x = polynomial([0, 1], order)
-    u = one(order)
+    u = polynomial([1], order)
     assert (c - u - x * c * c).is_zero()
     lhs = u - 2 * x * c
     assert (lhs * lhs - polynomial([1, -4], order)).is_zero()

@@ -239,6 +239,30 @@ def test_series_check_runs_one_gluing_pass(capsys, monkeypatch):
     assert passes == [17]
 
 
+def test_series_check_reports_a_wrong_total(capsys, monkeypatch):
+    gluing_totals = recurrences.gluing_totals
+
+    def corrupted(n_max):
+        totals = gluing_totals(n_max)
+        totals["H"][5] += 1
+        return totals
+
+    monkeypatch.setattr(recurrences, "gluing_totals", corrupted)
+    code, out, err = run_cli(capsys, "series-check", "--order", "16")
+    assert code == 1
+    assert err == "FAIL: nonzero residual for HFE\n"
+    lines = out.splitlines()
+    assert lines[1:3] == ["HFE,16,16,1/1", "HX,16,5,1/1"]
+    assert [row["max_nonzero_index"] for row in parse_csv(out)[2:]] == ["-1"] * 3
+
+
+def test_series_check_refuses_a_q4x_constant_term(capsys, doubled_sqrt):
+    code, out, err = run_cli(capsys, "series-check", "--order", "16")
+    assert code == 1
+    assert out == ""
+    assert err == "FAIL: closed-form numerator has nonzero constant term -5\n"
+
+
 def test_series_check_order_floor(capsys):
     code, out, err = run_cli(capsys, "series-check", "--order", "7")
     assert code == 2

@@ -46,6 +46,7 @@ def test_import_scan_sees_the_cli_routes():
     [
         ("recurrences", {"closed_forms", "series"}),
         ("closed_forms", {"recurrences", "series"}),
+        ("series", {"closed_forms", "recurrences"}),
     ],
 )
 def test_exact_routes_do_not_import_each_other(module, forbidden):

@@ -17,8 +17,6 @@ from gridperm import (
     half_power,
 )
 from gridperm.series import (
-    from_values,
-    one,
     polynomial,
     residual_summary,
 )
@@ -76,7 +74,7 @@ def test_weighted_catalan_derivative_coefficients():
     k = 8
     c = catalan_series(k)
     x = polynomial([0, 1], k)
-    weighted = x * c.differentiate() + c.truncate(k - 1)
+    weighted = x * c.differentiate() + c
     assert all(
         weighted[m] == (m + 1) * catalan(m) for m in range(k)
     )
@@ -85,7 +83,7 @@ def test_weighted_catalan_derivative_coefficients():
 def test_half_power_minus_two_is_geometric():
     inv = half_power(-2, 8)
     assert all(inv[m] == 4**m for m in range(9))
-    assert half_power(0, 5) == one(5)
+    assert half_power(0, 5) == polynomial([1], 5)
 
 
 @given(
@@ -95,12 +93,6 @@ def test_half_power_minus_two_is_geometric():
 )
 def test_half_powers_multiply_by_adding_exponents(a, b, order):
     assert half_power(a, order) * half_power(b, order) == half_power(a + b, order)
-
-
-def test_divide_by_x():
-    assert polynomial([0, 1, 1], 4).divide_by_x() == polynomial([1, 1], 3)
-    with pytest.raises(ValueError):
-        polynomial([1, 1], 4).divide_by_x()
 
 
 def test_sqrt_squares_back():
@@ -130,11 +122,17 @@ def test_series_rejects_non_integer_coefficients():
             half_power(bad, 4)
 
 
+def test_series_needs_a_constant_term():
+    for empty in ((), [], iter(())):
+        with pytest.raises(ValueError, match="constant term"):
+            TruncatedSeries(empty)
+
+
 def test_catalan_series_defining_equations():
     k = 64
     c = catalan_series(k)
     x = polynomial([0, 1], k)
-    u = one(k)
+    u = polynomial([1], k)
     assert (c - u - x * c * c).is_zero()
     lhs = u - 2 * x * c
     assert (lhs * lhs - polynomial([1, -4], k)).is_zero()
@@ -153,9 +151,8 @@ def test_block_count_series_match_their_sequences():
     k = 40
     c = catalan_series(k)
     x = polynomial([0, 1], k)
-    u = one(k)
-    ascent_series = (x * c.differentiate() - 2 * c.truncate(k - 1)
-                     + 2 * u.truncate(k - 1) + x.truncate(k - 1))
+    u = polynomial([1], k)
+    ascent_series = x * c.differentiate() - 2 * c + 2 * u + x
     for m in range(k):
         assert ascent_series[m] == max(m - 2, 0) * catalan(m)
     min_series = (u - 2 * x) * c + x - u
@@ -169,6 +166,31 @@ def test_identity_residuals_vanish(name):
     assert residual.order == 32 and residual.is_zero()
     # longer sequences give the same residual
     assert check_identity(name, 32, gluing_totals(40)) == residual
+
+
+# the statistic each identity reads from the gluing totals
+READS = {"HFE": "H", "HX": "H", "PX": "P", "Q4FE": "Q4", "Q4X": "Q4"}
+
+
+@pytest.mark.parametrize("index", [7, 16])
+@pytest.mark.parametrize("name", IDENTITY_IDS)
+def test_one_wrong_total_shows_in_the_residual(name, index):
+    totals = gluing_totals(20)
+    totals[READS[name]][index] += 1
+    residual = check_identity(name, 16, totals)
+    assert residual.order == 16
+    nonzero = {i: c for i, c in enumerate(residual.coeffs) if c != 0}
+    if name in ("HFE", "Q4FE"):
+        # the functional equations multiply the totals by 1 - 2xC
+        assert min(nonzero) == index
+    else:
+        # Q4X compares twice Q4, so its residual is twice the discrepancy
+        assert nonzero == {index: 2 if name == "Q4X" else 1}
+
+
+def test_q4x_refuses_a_numerator_with_a_constant_term(doubled_sqrt):
+    with pytest.raises(RuntimeError, match="nonzero constant term -5"):
+        check_identity("Q4X", 16, gluing_totals(17))
 
 
 def test_check_identity_validates_input():
@@ -200,7 +222,7 @@ def test_residual_report_zero_case():
 
 
 def test_residual_summary_nonzero_case():
-    residual = from_values([0, 0, -3, 0, 1])
+    residual = TruncatedSeries([0, 0, -3, 0, 1])
     payload = residual_summary("demo", residual)
     assert payload["max_nonzero_index"] == 4
     assert payload["first_nonzero"] == "-3/1"
