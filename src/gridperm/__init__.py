@@ -18,7 +18,6 @@ from .closed_forms import (
 from .enumeration import (
     aggregate_brute,
     aggregate_stats,
-    catalan,
     central_binomial,
     enumerate_av213,
 )

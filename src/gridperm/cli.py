@@ -47,10 +47,10 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _mode_values(mode, n_min, n_max, cap):
+def _mode_values(mode, n_min, n_max):
     """Per-n rows of statistic values for one computation route."""
     if mode == "brute":
-        return {n: aggregate_brute(n, cap) for n in range(n_min, n_max + 1)}
+        return {n: aggregate_brute(n, n_max) for n in range(n_min, n_max + 1)}
     if mode == "recurrence":
         sequences = recurrences.gluing_totals(n_max)
         return {
@@ -70,13 +70,12 @@ def cmd_verify(args) -> int:
         return _usage_error("verify needs at least two distinct modes to compare")
     if args.n_min > args.n_max or args.n_min < 0:
         return _usage_error("need 0 <= n-min <= n-max")
-    cap = args.n_max if args.force else DEFAULT_BRUTE_CAP
-    if "brute" in modes and args.n_max > cap:
+    if "brute" in modes and args.n_max > DEFAULT_BRUTE_CAP and not args.force:
         return _usage_error(
-            f"brute mode requested up to n={args.n_max}, beyond the cap {cap}; "
+            f"brute mode requested up to n={args.n_max}, beyond the cap {DEFAULT_BRUTE_CAP}; "
             f"lower --n-max or pass --force"
         )
-    values = {mode: _mode_values(mode, args.n_min, args.n_max, cap) for mode in modes}
+    values = {mode: _mode_values(mode, args.n_min, args.n_max) for mode in modes}
     rows = []
     first_failure = None
     for n in range(args.n_min, args.n_max + 1):

@@ -36,18 +36,13 @@ CSV_FIELDS = (
 )
 
 
-def catalan(n: int) -> int:
-    """The n-th Catalan number, binom(2n, n) / (n + 1), exactly.
-
-    >>> [catalan(n) for n in range(6)]
-    [1, 1, 2, 5, 14, 42]
-    """
-    return math.comb(2 * n, n) // (n + 1)
-
-
 def catalan_list(n_max: int) -> list[int]:
     """Catalan numbers 0..n_max as one shared table, by the running
-    product C_{k+1} = C_k 2(2k + 1) / (k + 2), every division exact."""
+    product C_{k+1} = C_k 2(2k + 1) / (k + 2), every division exact.
+
+    >>> catalan_list(5)
+    [1, 1, 2, 5, 14, 42]
+    """
     table = [1] if n_max >= 0 else []
     for k in range(n_max):
         c, rem = divmod(table[-1] * 2 * (2 * k + 1), k + 2)

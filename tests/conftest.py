@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from dataclasses import dataclass
 from functools import lru_cache
 
 import pytest
@@ -31,8 +30,7 @@ def contains_pattern(word, pattern):
 
     True iff some subsequence of ``word`` is order-isomorphic to
     ``pattern``.  This is the O(n^3) oracle; it is authoritative in
-    tests, with ``contains_213`` and ``contains_312`` (below) as the
-    fast routes.
+    tests, with ``contains_213`` (below) as the fast route.
     """
     pattern = tuple(pattern)
     if len(pattern) != 3:
@@ -68,24 +66,11 @@ def enumerate_by_filter(n, pattern):
     )
 
 
-# Word helpers that production does not use: the mirror, the 213 and 312
-# checks, digit formatting, both directions of the block decomposition
-# at the minimum and the external degree-1 count.  In a 213-avoiding
+# Word helpers that production does not use: the mirror, the linear 213
+# check and the block composition at the minimum.  In a 213-avoiding
 # word every entry left of the 1 exceeds every entry right of it, so the
 # word factors as ``(alpha + j + 1) 1 (beta + 1)`` with both blocks
 # again 213-avoiding.
-
-
-class PatternViolationError(ValueError):
-    """Input that was expected to avoid 213 demonstrably contains it."""
-
-
-def standardize(values):
-    """The permutation order-isomorphic to a word of distinct values."""
-    if len(set(values)) != len(values):
-        raise ValueError(f"entries must be distinct: {tuple(values)!r}")
-    rank = {v: r for r, v in enumerate(sorted(values), start=1)}
-    return tuple(rank[v] for v in values)
 
 
 def reverse(word):
@@ -112,54 +97,6 @@ def contains_213(word):
     return False
 
 
-def contains_312(word):
-    """Linear-time 312 check; a word contains 312 iff its mirror contains 213."""
-    return contains_213(word[::-1])
-
-
-def format_permutation(word):
-    """Inverse of ``parse_permutation``: digits for n <= 9, commas beyond."""
-    if not word:
-        return ""
-    if max(word) <= 9:
-        return "".join(str(v) for v in word)
-    return ",".join(str(v) for v in word)
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Blocks of a 213-avoider split at the position of its minimum.
-
-    ``left`` has length ``min_position - 1`` and ``right`` has length
-    ``n - min_position``; ``compose`` rebuilds the original word.
-    """
-
-    left: tuple
-    right: tuple
-    min_position: int
-
-
-def decompose_by_min(word):
-    """Split a 213-avoiding word at its minimum and standardize the blocks."""
-    word = tuple(word)
-    if not word:
-        raise ValueError("decompose_by_min needs length >= 1")
-    if 1 not in word:
-        raise ValueError(f"word has no entry 1: {word!r}")
-    k = word.index(1) + 1
-    left = word[: k - 1]
-    right = word[k:]
-    if left and right and min(left) < max(right):
-        raise PatternViolationError(
-            f"entry {min(left)} left of the minimum is below entry "
-            f"{max(right)} right of it; {word!r} contains 213"
-        )
-    j = len(right)
-    alpha = tuple(v - j - 1 for v in left)
-    beta = tuple(v - 1 for v in right)
-    return Decomposition(left=alpha, right=beta, min_position=k)
-
-
 def compose(alpha, beta):
     """Glue two 213-avoiding blocks around a fresh minimum: (alpha + j + 1) 1 (beta + 1)."""
     for name, block in (("alpha", alpha), ("beta", beta)):
@@ -167,25 +104,6 @@ def compose(alpha, beta):
             raise ValueError(f"{name} block contains 213: {tuple(block)!r}")
     j = len(beta)
     return tuple(a + j + 1 for a in alpha) + (1,) + tuple(b + 1 for b in beta)
-
-
-def deg1_external_count(word):
-    """Degree-1 vertices contributed by the first and last columns.
-
-    Only the top vertex of an external column can have degree 1: in the
-    first column that happens iff the column has height 1 or starts a
-    descent, mirrored for the last column.  The brute aggregate derives
-    P from this count summed over the class.
-    """
-    n = len(word)
-    if n < 2:
-        raise ValueError("deg1_external_count needs n >= 2")
-    return (
-        (word[0] == 1)
-        + (word[0] > word[1])
-        + (word[-1] == 1)
-        + (word[-2] < word[-1])
-    )
 
 
 def adjacency_degrees(word):

@@ -19,7 +19,6 @@ from gridperm import (
     aggregate_brute,
     aggregate_stats,
     asymptotic_proportions,
-    catalan,
     closed_aggregate,
     deg2_deg3_totals,
     empirical_report,
@@ -78,14 +77,15 @@ def test_criterion_3_recurrence_vs_closed():
     started = time.time()
     top = 300
     totals = gluing_totals(top)
+    catalan = catalan_by_convolution(top)
     h, p, d, j, q4 = (totals[stat] for stat in ("H", "P", "D", "J", "Q4"))
     for n in range(2, top + 1):
         closed = closed_aggregate(n)
         assert h[n] == closed["H"], ("H", n)
         # P, D and J against Catalan numbers, independently of closed_aggregate
-        assert p[n] == (n - 2) * catalan(n - 1), ("P", n)
-        assert d[n] == catalan(n - 1), ("D", n)
-        assert j[n] == catalan(n) - 2 * catalan(n - 1), ("J", n)
+        assert p[n] == (n - 2) * catalan[n - 1], ("P", n)
+        assert d[n] == catalan[n - 1], ("D", n)
+        assert j[n] == catalan[n] - 2 * catalan[n - 1], ("J", n)
         assert q4[n] == closed["Q4"], ("Q4", n)
     _finish("criterion 3 (recurrence vs closed, 2 <= n <= 300)", started, 30)
 

@@ -6,10 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fraction_closed_row, fraction_expectations, fraction_proportions
+from conftest import (
+    catalan_by_convolution,
+    fraction_closed_row,
+    fraction_expectations,
+    fraction_proportions,
+)
 from gridperm import (
     asymptotic_proportions,
-    catalan,
     closed_aggregate,
     closed_form_report,
     deg2_deg3_totals,
@@ -84,13 +88,6 @@ def test_proportions_sum_to_one():
         assert sum(proportions(n).values()) == 1
 
 
-def test_integrality_sweep():
-    # each call raises internally if any quotient fails to be integral,
-    # or if the two Q2/Q3 routes disagree
-    for n in range(2, 401):
-        closed_aggregate(n)
-
-
 def test_asymptotic_examples():
     assert asymptotic_proportions(10_000)[4] == pytest.approx(0.98449103, abs=1e-7)
     assert asymptotic_proportions(100)[1] == pytest.approx(0.005, abs=1e-12)
@@ -115,7 +112,7 @@ def test_closed_aggregate_matches_known_row():
         "J": 1,
         "P": 2,
     }
-    assert catalan(3) == row["class_size"]
+    assert catalan_by_convolution(3)[3] == row["class_size"]
 
 
 def test_report_serialization(capsys):

@@ -11,7 +11,6 @@ from conftest import (
     adjacency_degrees,
     adjacency_histogram,
     all_permutations,
-    deg1_external_count,
     reverse,
 )
 from gridperm import degree_histogram, render_ascii, sample_av213
@@ -125,31 +124,6 @@ def test_shift_law():
                 for t in range(1, 5):
                     delta = deg4_count_internal(a + t, b + t, c + t) - deg4_count_internal(a, b, c)
                     assert delta == (t if b >= 2 else t - 1)
-
-
-@pytest.mark.parametrize(
-    "word, expected",
-    [((2, 1), 2), ((1, 2), 2), ((4, 1, 3, 2), 1), ((2, 3, 4, 1), 1), ((3, 1, 2), 2)],
-)
-def test_deg1_external_count(word, expected):
-    assert deg1_external_count(word) == expected
-
-
-def test_deg1_external_count_needs_two_columns():
-    with pytest.raises(ValueError):
-        deg1_external_count((1,))
-
-
-@pytest.mark.parametrize("n", range(2, 8))
-def test_deg1_external_matches_boundary_columns(n):
-    for word in all_permutations(n):
-        degree = adjacency_degrees(word)
-        boundary = sum(
-            degree[(column, s)] == 1
-            for column in (1, n)
-            for s in range(1, word[column - 1] + 1)
-        )
-        assert deg1_external_count(word) == boundary
 
 
 def test_render_single_vertex():

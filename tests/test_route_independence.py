@@ -1,6 +1,6 @@
 """The exact routes stay independent: neither imports the other or the series
-checks; production keeps one histogram body; and the brute route computes
-every member's histogram itself."""
+checks; production keeps one histogram body and no export that only the
+tests call; and the brute route computes every member's histogram itself."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import gridperm
-from gridperm import catalan, enumeration, grid_graph
+from conftest import catalan_by_convolution
+from gridperm import enumeration, grid_graph
 
 PACKAGE = Path(gridperm.__file__).parent
 
@@ -65,6 +66,25 @@ def test_one_histogram_body():
     assert grid_graph.degree_histogram_fast is grid_graph.degree_histogram
 
 
+def test_every_export_has_a_production_caller():
+    # a name exported only for the tests is a test-only oracle in production
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        alias.name
+        for node in ast.walk(init)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in PACKAGE.glob("*.py")
+        if path.name != "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert sorted(exported - used) == []
+
+
 def test_brute_computes_one_histogram_per_member(monkeypatch):
     calls = 0
 
@@ -75,4 +95,4 @@ def test_brute_computes_one_histogram_per_member(monkeypatch):
 
     monkeypatch.setattr(enumeration, "degree_histogram", counted)
     enumeration.aggregate_brute(8)
-    assert calls == catalan(8) == 1430
+    assert calls == catalan_by_convolution(8)[8] == 1430
