@@ -88,6 +88,13 @@ def test_proportions_sum_to_one():
         assert sum(proportions(n).values()) == 1
 
 
+def test_integrality_sweep():
+    # each call raises internally if any quotient fails to be integral,
+    # or if the two Q2/Q3 routes disagree
+    for n in range(2, 401):
+        closed_aggregate(n)
+
+
 def test_asymptotic_examples():
     assert asymptotic_proportions(10_000)[4] == pytest.approx(0.98449103, abs=1e-7)
     assert asymptotic_proportions(100)[1] == pytest.approx(0.005, abs=1e-12)

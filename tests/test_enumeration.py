@@ -219,6 +219,12 @@ def test_internal_deg1_is_q1_minus_external(n):
         assert aggregate_stats([word], n)["P"] == internal
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_reversal_transfer_small(n):
+    stats_312 = aggregate_stats(enumerate_by_filter(n, (3, 1, 2)), n)
+    assert stats_312 == brute_stats(n)
+
+
 def test_aggregate_degenerate_lengths():
     assert brute_stats(0)["V"] == 0
     row1 = brute_stats(1)

@@ -47,6 +47,14 @@ def test_linear_checks_agree_with_oracle(n):
         assert contains_213(word) == contains_pattern(word, (2, 1, 3))
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_pattern_duality_under_reversal(n):
+    # the linear 213 check on a word against the triple oracle for 312 on
+    # its mirror
+    for word in all_permutations(n):
+        assert contains_213(word) == contains_pattern(reverse(word), (3, 1, 2))
+
+
 @pytest.mark.parametrize(
     "word, expected",
     [((4, 1, 3, 2), (2, 3, 1, 4)), ((1,), (1,)), ((3, 4, 1, 2), (2, 1, 4, 3))],

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import brute_stats
-from gridperm import gluing_totals
+from conftest import brute_stats, catalan_by_convolution
+from gridperm import closed_aggregate, gluing_totals
+
+N_CHECK = 60
+CATALAN = catalan_by_convolution(N_CHECK)
 
 
 def test_horizontal_edges_examples():
@@ -14,6 +17,12 @@ def test_horizontal_edges_examples():
     assert h[4] == 76
 
 
+def test_horizontal_edges_matches_closed_form():
+    h = gluing_totals(N_CHECK)["H"]
+    for n in range(2, N_CHECK + 1):
+        assert h[n] == closed_aggregate(n)["H"]
+
+
 def test_internal_deg1_examples():
     p = gluing_totals(4)["P"]
     assert p[:3] == [0, 0, 0]
@@ -21,11 +30,23 @@ def test_internal_deg1_examples():
     assert p[4] == 10
 
 
+def test_internal_deg1_matches_closed_form():
+    p = gluing_totals(N_CHECK)["P"]
+    for n in range(3, N_CHECK + 1):
+        assert p[n] == (n - 2) * CATALAN[n - 1]
+
+
 def test_initial_descents_examples():
     d = gluing_totals(5)["D"]
     assert d[2] == 1
     assert d[3] == 2
     assert d[4] == 5
+
+
+def test_initial_descents_matches_closed_form():
+    d = gluing_totals(N_CHECK)["D"]
+    for m in range(2, N_CHECK + 1):
+        assert d[m] == CATALAN[m - 1]
 
 
 def test_internal_min_examples():
@@ -40,6 +61,12 @@ def test_deg4_examples():
     q4 = gluing_totals(4)["Q4"]
     assert q4[:4] == [0, 0, 0, 0]
     assert q4[4] == 8
+
+
+def test_deg4_matches_closed_form():
+    q4 = gluing_totals(N_CHECK)["Q4"]
+    for n in range(2, N_CHECK + 1):
+        assert q4[n] == closed_aggregate(n)["Q4"]
 
 
 @pytest.mark.parametrize("n", range(0, 11))

@@ -152,6 +152,16 @@ def test_one_draw_memory_is_linear():
     assert peak < 80 * n, peak / n
 
 
+def test_small_class_frequencies_are_flat():
+    rng = random.Random(SEED)
+    draws = 20_000
+    counts = Counter(sample_av213(3, rng) for _ in range(draws))
+    assert set(counts) == set(enumerate_av213(3))
+    expected = draws / 5
+    for word, seen in counts.items():
+        assert abs(seen - expected) < 300, (word, seen)
+
+
 def test_sampler_determinism():
     first = [sample_av213(8, random.Random(42)) for _ in range(20)]
     second = [sample_av213(8, random.Random(42)) for _ in range(20)]
