@@ -17,7 +17,9 @@ def check_permutation(word: Sequence[int]) -> None:
         raise ValueError(f"not a permutation of 1..{n}: {tuple(word)!r}")
 
 
-_SEPARATORS = re.compile(r"[,\s]+")
+# one comma, or a run of spaces; a doubled, leading or trailing comma leaves
+# an empty token, which is refused by its position
+_SEPARATORS = re.compile(r"\s*,\s*|\s+")
 _TOKEN = re.compile(r"[0-9]+")
 
 
@@ -39,7 +41,7 @@ def parse_permutation(text: str) -> tuple[int, ...]:
         return ()
     if _SEPARATORS.search(s):
         values = []
-        for pos, token in enumerate(t for t in _SEPARATORS.split(s) if t):
+        for pos, token in enumerate(_SEPARATORS.split(s)):
             if not _TOKEN.fullmatch(token) or int(token) == 0:
                 raise ValueError(f"bad token {token!r} at position {pos + 1}")
             values.append(int(token))

@@ -11,31 +11,55 @@ algebraic elements used by the verification suite (the Catalan series
 and the powers (1-4x)^(k/2)) and :func:`check_identity`, which rebuilds
 each generating-function identity from the sequences of one
 ``recurrences.gluing_totals`` pass and returns the left-minus-right
-residual.
+residual.  :class:`TruncatedSeries` is a plain slotted class, not a
+dataclass, so that importing the CLI stays cheap: ``dataclasses`` would
+pull in ``inspect``, ``ast`` and ``dis`` on every run.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .enumeration import catalan_list
 
-@dataclass(frozen=True)
+
 class TruncatedSeries:
-    """Exact power-series prefix: integer coefficients of x^0 .. x^order."""
+    """Exact power-series prefix: integer coefficients of x^0 .. x^order.
 
-    coeffs: tuple[int, ...]
+    Immutable and compared by value.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
         # operator.index rejects rationals and floats rather than coercing them
-        object.__setattr__(
-            self, "coeffs", tuple(operator.index(c) for c in self.coeffs)
-        )
+        values = tuple(operator.index(c) for c in coeffs)
         # checked after the conversion, so an empty iterator is refused too
-        if not self.coeffs:
+        if not values:
             raise ValueError("a series needs at least its constant term")
+        object.__setattr__(self, "coeffs", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by assigning the slot
+        return TruncatedSeries, (self.coeffs,)
+
+    def __eq__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"TruncatedSeries(coeffs={self.coeffs!r})"
 
     @property
     def order(self) -> int:

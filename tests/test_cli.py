@@ -327,9 +327,39 @@ def test_closed_pipe_exits_141_without_traceback():
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+# loaded by ``dataclasses`` and not by a bare interpreter; each run of the
+# CLI would pay for them
+INTROSPECTION_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_importing_the_cli_loads_no_introspection_modules():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(src)
+    script = (
+        "import json, sys, gridperm.cli; print(json.dumps("
+        f"[m for m in {INTROSPECTION_MODULES!r} + ('gridperm.series',)"
+        " if m in sys.modules]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # gridperm.series is loaded, so the import really reached the series code
+    assert json.loads(proc.stdout) == ["gridperm.series"]
+
+
 def test_degrees_parse_error(capsys):
     code, out, err = run_cli(capsys, "degrees", "41x2")
     assert code == 2
+    assert "position 3" in err
+
+
+def test_degrees_refuses_an_empty_entry(capsys):
+    code, out, err = run_cli(capsys, "degrees", "1,2,,3")
+    assert code == 2
+    assert out == ""
     assert "position 3" in err
 
 

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
-    adjacency_degrees,
     adjacency_histogram,
     all_permutations,
     reverse,
@@ -21,11 +20,6 @@ perm_words = st.integers(min_value=1, max_value=30).flatmap(
 )
 # column profiles beyond permutations: repeated heights, runs of 1s
 general_words = st.lists(st.integers(min_value=1, max_value=6), max_size=12).map(tuple)
-
-
-def deg4_count_internal(a, b, c):
-    """Degree-4 vertices in an internal column of height b between heights a, c."""
-    return max(0, min(a, c, b - 1) - 1)
 
 
 @pytest.mark.parametrize(
@@ -96,34 +90,14 @@ def test_histogram_agrees_on_long_sampled_words(n):
         assert_matches_oracle(sample_av213(n, rng))
 
 
-@pytest.mark.parametrize(
-    "triple, expected",
-    [((2, 3, 4), 1), ((1, 5, 9), 0), ((1, 2, 1), 0), ((4, 4, 4), 2), ((3, 9, 3), 2)],
-)
-def test_deg4_count_internal(triple, expected):
-    assert deg4_count_internal(*triple) == expected
-
-
-@pytest.mark.parametrize("n", range(3, 8))
-def test_deg4_count_matches_per_column_tally(n):
-    for word in all_permutations(n):
-        degree = adjacency_degrees(word)
-        for i in range(2, n):
-            column_deg4 = sum(
-                degree[(i, s)] == 4 for s in range(1, word[i - 1] + 1)
-            )
-            assert column_deg4 == deg4_count_internal(
-                word[i - 2], word[i - 1], word[i]
-            )
-
-
-def test_shift_law():
-    for a in range(1, 7):
-        for b in range(1, 7):
-            for c in range(1, 7):
-                for t in range(1, 5):
-                    delta = deg4_count_internal(a + t, b + t, c + t) - deg4_count_internal(a, b, c)
-                    assert delta == (t if b >= 2 else t - 1)
+# lifting every column by t >= 1 adds t degree-4 vertices per internal
+# column, one fewer where that column had height 1: the law behind
+# recurrences._q4_shift and its J correction
+@given(general_words.filter(lambda w: len(w) >= 2), st.integers(min_value=1, max_value=8))
+def test_shift_law(word, t):
+    lifted = tuple(v + t for v in word)
+    delta = degree_histogram(lifted)[0][4] - degree_histogram(word)[0][4]
+    assert delta == t * (len(word) - 2) - word[1:-1].count(1)
 
 
 def test_render_single_vertex():

@@ -90,6 +90,8 @@ def test_compose_rejects_213_blocks():
         ("10,1,2,3,4,5,6,7,8,9", (10, 1, 2, 3, 4, 5, 6, 7, 8, 9)),
         ("1", (1,)),
         ("", ()),
+        ("4, 1, 3, 2", (4, 1, 3, 2)),
+        ("4  1   3 2", (4, 1, 3, 2)),
     ],
 )
 def test_parse_permutation(text, expected):
@@ -110,6 +112,13 @@ def test_parse_errors_carry_position():
         parse_permutation("\u00b21")  # superscript 2, then 1
     with pytest.raises(ValueError, match="position 2"):
         parse_permutation("2,\u0661")
+    # a doubled, leading or trailing comma is an empty entry, not a separator
+    with pytest.raises(ValueError, match="position 3"):
+        parse_permutation("1,2,,3")
+    with pytest.raises(ValueError, match="position 1"):
+        parse_permutation(",1,2")
+    with pytest.raises(ValueError, match="position 3"):
+        parse_permutation("1,2,")
 
 
 @given(perm_words(12))

@@ -129,6 +129,31 @@ def test_series_needs_a_constant_term():
             TruncatedSeries(empty)
 
 
+def test_equal_coefficients_compare_and_hash_equal():
+    a = TruncatedSeries((1, 2, 3))
+    b = polynomial([1, 2, 3], 2)
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_series_is_not_its_coefficient_tuple():
+    s = polynomial([1, 2], 1)
+    assert s != (1, 2)
+    assert (1, 2) != s
+
+
+def test_series_refuses_assignment():
+    s = polynomial([1, 2], 1)
+    with pytest.raises(AttributeError):
+        s.coeffs = (3, 4)
+    assert s.coeffs == (1, 2)
+
+
+def test_series_repr():
+    assert repr(polynomial([1, 2], 1)) == "TruncatedSeries(coeffs=(1, 2))"
+
+
 def test_catalan_series_defining_equations():
     k = 64
     c = catalan_series(k)
