@@ -1,5 +1,13 @@
 """Command-line front end: verification, tables, series checks, sampling.
 
+``verify`` and ``table`` stream their rows: each row is written as soon
+as its n is computed, so memory does not grow with the range (``verify``
+keeps the recurrence route's five gluing sequences, from one pass over
+the whole range).  When an exact check fails mid-range, the complete
+rows already written stay on stdout and the ``FAIL:`` line follows on
+stderr; a reader that closes stdout early stops the work at the next
+flush of stdout's buffer.
+
 Exit codes: 0 on success; 1 when a requested verification fails, which
 is either a mismatch between routes or an exact check raising
 RuntimeError (integrality, the Q2/Q3 two-route check, a series
@@ -31,15 +39,25 @@ MODES = ("brute", "recurrence", "closed")
 STAT_ORDER = CSV_FIELDS[1:]
 
 
-def _emit(rows: list[dict], fmt: str) -> None:
+def _emit(rows, fmt: str) -> None:
+    """Write each row dict to stdout as soon as the iterable yields it.
+
+    The bytes equal one ``json.dumps(list(rows), indent=2)`` line, or a
+    header line from the first row's keys and then one line per row,
+    without holding more than one row.
+    """
     if fmt == "json":
-        print(json.dumps(rows, indent=2))
+        opening = "[\n"
+        for row in rows:
+            sys.stdout.write(opening + "  " + json.dumps(row, indent=2).replace("\n", "\n  "))
+            opening = ",\n"
+        sys.stdout.write("[]\n" if opening == "[\n" else "\n]\n")
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        if rows:
-            writer.writerow(rows[0].keys())
-            for row in rows:
-                writer.writerow(row.values())
+        for index, row in enumerate(rows):
+            if not index:
+                writer.writerow(row.keys())
+            writer.writerow(row.values())
 
 
 def _usage_error(message: str) -> int:
@@ -47,17 +65,43 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _mode_values(mode, n_min, n_max):
-    """Per-n rows of statistic values for one computation route."""
+def _mode_values(mode, n, n_max, sequences):
+    """Statistic values at one n for one computation route; empty where it has none."""
     if mode == "brute":
-        return {n: aggregate_brute(n, n_max) for n in range(n_min, n_max + 1)}
+        return aggregate_brute(n, n_max)
     if mode == "recurrence":
-        sequences = recurrences.gluing_totals(n_max)
-        return {
-            n: {stat: seq[n] for stat, seq in sequences.items()}
-            for n in range(n_min, n_max + 1)
-        }
-    return {n: closed_forms.closed_aggregate(n) for n in range(max(n_min, 2), n_max + 1)}
+        return {stat: seq[n] for stat, seq in sequences.items()}
+    return closed_forms.closed_aggregate(n) if n >= 2 else {}
+
+
+def _comparisons(modes, n_min, n_max, mismatches):
+    """Yield one row per (n, statistic, mode pair), one n at a time.
+
+    The recurrence route is one gluing pass over the whole range, made
+    up front; the other routes compute each n when its rows are due.
+    The first unequal row's ``(n, statistic, pair)`` is appended to
+    ``mismatches``.
+    """
+    sequences = recurrences.gluing_totals(n_max) if "recurrence" in modes else None
+    for n in range(n_min, n_max + 1):
+        values = {mode: _mode_values(mode, n, n_max, sequences) for mode in modes}
+        for stat in STAT_ORDER:
+            for lhs_mode, rhs_mode in itertools.combinations(modes, 2):
+                lhs, rhs = values[lhs_mode], values[rhs_mode]
+                if stat not in lhs or stat not in rhs:
+                    continue
+                pair = f"{lhs_mode}/{rhs_mode}"
+                equal = lhs[stat] == rhs[stat]
+                if not equal and not mismatches:
+                    mismatches.append((n, stat, pair))
+                yield {
+                    "n": n,
+                    "statistic": stat,
+                    "modes": pair,
+                    "equal": equal,
+                    "lhs": lhs[stat],
+                    "rhs": rhs[stat],
+                }
 
 
 def cmd_verify(args) -> int:
@@ -75,38 +119,17 @@ def cmd_verify(args) -> int:
             f"brute mode requested up to n={args.n_max}, beyond the cap {DEFAULT_BRUTE_CAP}; "
             f"lower --n-max or pass --force"
         )
-    values = {mode: _mode_values(mode, args.n_min, args.n_max) for mode in modes}
-    rows = []
-    first_failure = None
-    for n in range(args.n_min, args.n_max + 1):
-        for stat in STAT_ORDER:
-            for lhs_mode, rhs_mode in itertools.combinations(modes, 2):
-                lhs = values[lhs_mode].get(n, {})
-                rhs = values[rhs_mode].get(n, {})
-                if stat not in lhs or stat not in rhs:
-                    continue
-                pair = f"{lhs_mode}/{rhs_mode}"
-                equal = lhs[stat] == rhs[stat]
-                rows.append(
-                    {
-                        "n": n,
-                        "statistic": stat,
-                        "modes": pair,
-                        "equal": equal,
-                        "lhs": lhs[stat],
-                        "rhs": rhs[stat],
-                    }
-                )
-                if not equal and first_failure is None:
-                    first_failure = (n, stat, pair)
-    if not rows:
+    mismatches = []
+    rows = _comparisons(modes, args.n_min, args.n_max, mismatches)
+    first = next(rows, None)  # refuse before anything reaches stdout
+    if first is None:
         return _usage_error(
             f"modes {','.join(modes)} give nothing to compare for "
             f"n={args.n_min}..{args.n_max} (closed forms start at n=2)"
         )
-    _emit(rows, args.format)
-    if first_failure is not None:
-        n, stat, pair = first_failure
+    _emit(itertools.chain([first], rows), args.format)
+    if mismatches:
+        n, stat, pair = mismatches[0]
         print(
             f"FAIL: first mismatch at n={n}, statistic={stat} ({pair})",
             file=sys.stderr,
@@ -115,13 +138,8 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_table(args) -> int:
-    if args.n_min < 2:
-        return _usage_error("table needs n-min >= 2 (closed forms start there)")
-    if args.n_min > args.n_max:
-        return _usage_error("need n-min <= n-max")
-    rows = []
-    for n in range(args.n_min, args.n_max + 1):
+def _table_rows(n_min, n_max):
+    for n in range(n_min, n_max + 1):
         report = closed_forms.closed_form_report(n)
         row = dict(report["values"])
         row["B"] = central_binomial(n)
@@ -129,8 +147,15 @@ def cmd_table(args) -> int:
             row[f"prop{r}"] = f"{share.numerator}/{share.denominator}"
         for r, prediction in report["asymptotic"].items():
             row[f"pred{r}"] = format(prediction, ".12g")
-        rows.append(row)
-    _emit(rows, args.format)
+        yield row
+
+
+def cmd_table(args) -> int:
+    if args.n_min < 2:
+        return _usage_error("table needs n-min >= 2 (closed forms start there)")
+    if args.n_min > args.n_max:
+        return _usage_error("need n-min <= n-max")
+    _emit(_table_rows(args.n_min, args.n_max), args.format)
     return 0
 
 

@@ -4,14 +4,14 @@ Each formula mixes central binomials with powers of four over a
 polynomial denominator; that such quotients are integers is itself a
 nontrivial fact.  So every total is an integer numerator divided by its
 denominator with ``divmod``, and a nonzero remainder raises
-RuntimeError.  Each public function computes B_n = binom(2n, n) itself
-and passes it to the private evaluators, one per quantity; the Catalan
-numbers C_n = B_n / (n+1) and C_{n-1} = B_n / (2(2n-1)) come from it by
-the same asserted division.  Public functions call each other, so B_n
-is computed more than once per n: twice in ``closed_aggregate`` (once
-inside ``deg2_deg3_totals``) and seven times for one ``table`` row.
-Computing it once per row is ROADMAP item 2, which moves the pinned
-benchmark counts.  Rationals appear only as the reduced
+RuntimeError.  ``closed_aggregate``, ``expectations`` and
+``proportions`` each compute B_n = binom(2n, n) once and pass it to the
+private evaluators, one per quantity, and to ``deg2_deg3_totals``,
+which takes B_n from its caller; the Catalan numbers C_n = B_n / (n+1)
+and C_{n-1} = B_n / (2(2n-1)) come from it by the same asserted
+division.  A ``table`` row still computes B_n four times, once in each
+of those three and once for its ``B`` column; advancing B_n through a
+range is ROADMAP item 2.  Rationals appear only as the reduced
 expectations and proportions, floats only in the asymptotic
 predictions.
 """
@@ -80,8 +80,8 @@ def _internal_deg1(n: int, b: int) -> int:
     return (n - 2) * _catalan_below(n, b)
 
 
-def deg2_deg3_totals(n: int) -> tuple[int, int]:
-    """(Q2(n), Q3(n)), computed two independent ways and asserted equal.
+def deg2_deg3_totals(n: int, b: int) -> tuple[int, int]:
+    """(Q2(n), Q3(n)) at B = B_n, computed two independent ways and asserted equal.
 
     Route one evaluates the explicit fractions; route two solves the
     2x2 system fixed by the vertex total and the degree sum together
@@ -89,7 +89,6 @@ def deg2_deg3_totals(n: int) -> tuple[int, int]:
     """
     if n < 2:
         raise ValueError("deg2_deg3_totals needs n >= 2")
-    b = central_binomial(n)
     four_n = 4**n
     q2_direct = _exact(
         (12 * n**2 + 44 * n - 112) * b + (2 * n**2 + n - 1) * four_n,
@@ -125,7 +124,7 @@ def closed_aggregate(n: int) -> dict[str, int]:
     if n < 2:
         raise ValueError("closed_aggregate needs n >= 2")
     b = central_binomial(n)
-    q2, q3 = deg2_deg3_totals(n)
+    q2, q3 = deg2_deg3_totals(n, b)
     c_below = _catalan_below(n, b)  # D_n = A_n = C_{n-1}
     return {
         "n": n,
@@ -150,7 +149,7 @@ def expectations(n: int) -> dict[str, Fraction]:
         raise ValueError("expectations needs n >= 2")
     b = central_binomial(n)
     c = _catalan(n, b)
-    q2, q3 = deg2_deg3_totals(n)
+    q2, q3 = deg2_deg3_totals(n, b)
     return {
         "H": Fraction(_horizontal_edges(n, b), c),
         "Q1": Fraction(_deg1(n, b), c),
@@ -166,7 +165,7 @@ def proportions(n: int) -> dict[int, Fraction]:
         raise ValueError("proportions needs n >= 2")
     b = central_binomial(n)
     v = _vertices(n, b)
-    q2, q3 = deg2_deg3_totals(n)
+    q2, q3 = deg2_deg3_totals(n, b)
     return {
         1: Fraction(_deg1(n, b), v),
         2: Fraction(q2, v),

@@ -103,7 +103,10 @@ def gluing_totals(n_max: int) -> dict[str, list[int]]:
         # entry i of each list belongs to the split (i, j = n - 1 - i)
         i_s, j_s = range(n), range(n - 1, -1, -1)
         cj = cat[n - 1 :: -1]
-        words = list(map(mul, cat, cj))
+        # C_i C_j is symmetric in the split: form the first ceil(n/2)
+        # products and mirror them
+        half = list(map(mul, cat[: (n + 1) // 2], cj))
+        words = half + half[: n // 2][::-1]
         # C_j D_i; read backwards it is C_i D_j
         left_d = list(map(mul, cj, d))
         # every word keeps both blocks' own edges, degree-4 vertices

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -8,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -211,6 +213,101 @@ def test_table_past_the_int_to_str_digit_limit(capsys):
             sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("command", ["verify", "table"])
+def test_a_failed_exact_check_mid_range_keeps_the_complete_rows(capsys, monkeypatch, command):
+    code, complete, _ = run_cli(capsys, command, "--n-max", "3")
+    assert code == 0
+    assert {row["n"] for row in parse_csv(complete)} == {"2", "3"}
+    exact = closed_forms._deg4
+    monkeypatch.setattr(closed_forms, "_deg4", lambda n, b: exact(n, b) + (n == 4))
+    code, out, err = run_cli(capsys, command, "--n-max", "6")
+    assert code == 1
+    # the header and every row of n = 2, 3 were written before n = 4 failed
+    assert out == complete
+    assert err.count("\n") == 1 and err.startswith("FAIL: ") and "n=4" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "table"])
+def test_streamed_json_equals_one_dump(capsys, command):
+    code, out, err = run_cli(capsys, command, "--n-max", "6", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_emit_without_rows(capsys):
+    cli._emit(iter(()), "json")
+    cli._emit(iter(()), "csv")
+    assert capsys.readouterr().out == "[]\n"
+
+
+class CountingSink:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def traced_peak(call):
+    """Peak bytes that ``tracemalloc`` sees allocated while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def streamed_peak(*argv):
+    """Traced peak of one CLI call and the characters it wrote to stdout.
+
+    A short call of the same command runs first, so that what the first
+    call of a process allocates once is not counted as row memory.
+    """
+    with contextlib.redirect_stdout(CountingSink()):
+        assert main([argv[0], "--n-max", "3"]) == 0
+    sink = CountingSink()
+    with contextlib.redirect_stdout(sink):
+        peak = traced_peak(lambda: main(list(argv)))
+    return peak, sink.chars
+
+
+def test_table_memory_does_not_grow_with_the_rows():
+    one_row, _ = streamed_peak("table", "--n-min", "400", "--n-max", "400")
+    peak, chars = streamed_peak("table", "--n-min", "2", "--n-max", "400")
+    # about 0.95 MB of text, which holding every row would add
+    assert peak - one_row < chars // 10
+
+
+def test_verify_memory_is_the_gluing_pass_not_the_rows(monkeypatch):
+    after_pass = []
+    gluing_totals = recurrences.gluing_totals
+
+    def marked(n_max):
+        totals = gluing_totals(n_max)
+        after_pass.append(tracemalloc.get_traced_memory()[0])  # with the five sequences
+        tracemalloc.reset_peak()  # what follows is the rows
+        return totals
+
+    def rows_peak(n_max):
+        peak, chars = streamed_peak("verify", "--n-max", n_max, "--modes", "recurrence,closed")
+        return peak - after_pass[-1], chars
+
+    monkeypatch.setattr(recurrences, "gluing_totals", marked)
+    few, _ = rows_peak("3")
+    many, chars = rows_peak("300")
+    # about 0.31 MB of text, which holding every row or every
+    # closed-form value would add
+    assert many - few < chars // 10
+
+
 def test_table_requires_n_min_two(capsys):
     code, out, err = run_cli(capsys, "table", "--n-min", "0", "--n-max", "4")
     assert code == 2
@@ -325,6 +422,16 @@ def test_closed_pipe_exits_141_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_python_dash_m_gridperm_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridperm", "degrees", "4132"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith('{"n": 4, "counts": ')
 
 
 # loaded by ``dataclasses`` and not by a bare interpreter; each run of the

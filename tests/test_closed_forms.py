@@ -14,6 +14,7 @@ from conftest import (
 )
 from gridperm import (
     asymptotic_proportions,
+    central_binomial,
     closed_aggregate,
     closed_form_report,
     deg2_deg3_totals,
@@ -46,24 +47,26 @@ def test_deg4_total(n, expected):
 
 @pytest.mark.parametrize("n, expected", [(2, (2, 0)), (3, (12, 8)), (4, (48, 54))])
 def test_deg2_deg3_totals(n, expected):
-    assert deg2_deg3_totals(n) == expected
+    assert deg2_deg3_totals(n, central_binomial(n)) == expected
 
 
 def test_degree_totals_close_the_vertex_count():
     for n in (2, 3, 4, 7, 25):
         stats = closed_aggregate(n)
         q1, q2, q3, q4 = (stats[f"Q{r}"] for r in range(1, 5))
-        assert (q2, q3) == deg2_deg3_totals(n)
+        assert (q2, q3) == deg2_deg3_totals(n, central_binomial(n))
         # no degree-0 vertices: Q1..Q4 account for every vertex
         assert q1 + q2 + q3 + q4 == stats["V"]
         assert q1 + 2 * q2 + 3 * q3 + 4 * q4 == stats["Sigma"]
 
 
 def test_domain_errors():
-    for fn in (closed_aggregate, deg2_deg3_totals, expectations, proportions,
+    for fn in (closed_aggregate, expectations, proportions,
                asymptotic_proportions, closed_form_report):
         with pytest.raises(ValueError):
             fn(1)
+    with pytest.raises(ValueError):
+        deg2_deg3_totals(1, central_binomial(1))
     with pytest.raises(ValueError):
         closed_aggregate(0)
 
