@@ -14,8 +14,8 @@ RuntimeError (integrality, the Q2/Q3 two-route check, a series
 coefficient or the Q4X constant term), reported as one ``FAIL:`` line
 on stderr; 2 for usage errors (including malformed permutation strings,
 fewer than two distinct verify modes, a verify range and mode set that
-give no comparison, and brute mode past the enumeration cap without
-``--force``); 141
+give no comparison, brute mode past the enumeration cap without
+``--force``, and a negative sample seed); 141
 (128 + SIGPIPE) when the reader of stdout closes it early, as ``head``
 does.
 """
@@ -49,7 +49,11 @@ def _emit(rows, fmt: str) -> None:
     if fmt == "json":
         opening = "[\n"
         for row in rows:
-            sys.stdout.write(opening + "  " + json.dumps(row, indent=2).replace("\n", "\n  "))
+            # rows are flat, so each is formatted here: json.dumps with
+            # an indent builds a pure-Python encoder whose closures are
+            # reference cycles, garbage for the cyclic collector per row
+            fields = ",\n".join(f"    {json.dumps(k)}: {json.dumps(v)}" for k, v in row.items())
+            sys.stdout.write(f"{opening}  {{\n{fields}\n  }}")
             opening = ",\n"
         sys.stdout.write("[]\n" if opening == "[\n" else "\n]\n")
     else:
@@ -79,8 +83,7 @@ def _comparisons(modes, n_min, n_max, mismatches):
 
     The recurrence route is one gluing pass over the whole range, made
     up front; the other routes compute each n when its rows are due.
-    The first unequal row's ``(n, statistic, pair)`` is appended to
-    ``mismatches``.
+    The first unequal row is appended to ``mismatches``.
     """
     sequences = recurrences.gluing_totals(n_max) if "recurrence" in modes else None
     for n in range(n_min, n_max + 1):
@@ -90,18 +93,17 @@ def _comparisons(modes, n_min, n_max, mismatches):
                 lhs, rhs = values[lhs_mode], values[rhs_mode]
                 if stat not in lhs or stat not in rhs:
                     continue
-                pair = f"{lhs_mode}/{rhs_mode}"
-                equal = lhs[stat] == rhs[stat]
-                if not equal and not mismatches:
-                    mismatches.append((n, stat, pair))
-                yield {
+                row = {
                     "n": n,
                     "statistic": stat,
-                    "modes": pair,
-                    "equal": equal,
+                    "modes": f"{lhs_mode}/{rhs_mode}",
+                    "equal": lhs[stat] == rhs[stat],
                     "lhs": lhs[stat],
                     "rhs": rhs[stat],
                 }
+                if not row["equal"] and not mismatches:
+                    mismatches.append(row)
+                yield row
 
 
 def cmd_verify(args) -> int:
@@ -129,9 +131,11 @@ def cmd_verify(args) -> int:
         )
     _emit(itertools.chain([first], rows), args.format)
     if mismatches:
-        n, stat, pair = mismatches[0]
+        row = mismatches[0]
         print(
-            f"FAIL: first mismatch at n={n}, statistic={stat} ({pair})",
+            f"FAIL: first mismatch at n={row['n']}, statistic={row['statistic']} "
+            f"({row['modes']}): lhs={row['lhs']}, rhs={row['rhs']}, "
+            f"lhs - rhs={row['lhs'] - row['rhs']}",
             file=sys.stderr,
         )
         return 1
@@ -183,6 +187,9 @@ def cmd_sample(args) -> int:
         return _usage_error("sample needs --n >= 2")
     if args.count < 1:
         return _usage_error("sample needs --count >= 1")
+    if args.seed < 0:
+        # random.Random(-s) seeds like Random(s)
+        return _usage_error("sample needs --seed >= 0")
     report = empirical_report(args.n, args.count, args.seed)
     if args.format == "json":
         print(json.dumps(report, indent=2))

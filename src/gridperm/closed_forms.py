@@ -4,16 +4,14 @@ Each formula mixes central binomials with powers of four over a
 polynomial denominator; that such quotients are integers is itself a
 nontrivial fact.  So every total is an integer numerator divided by its
 denominator with ``divmod``, and a nonzero remainder raises
-RuntimeError.  ``closed_aggregate``, ``expectations`` and
-``proportions`` each compute B_n = binom(2n, n) once and pass it to the
-private evaluators, one per quantity, and to ``deg2_deg3_totals``,
-which takes B_n from its caller; the Catalan numbers C_n = B_n / (n+1)
-and C_{n-1} = B_n / (2(2n-1)) come from it by the same asserted
-division.  A ``table`` row still computes B_n four times, once in each
-of those three and once for its ``B`` column; advancing B_n through a
-range is ROADMAP item 2.  Rationals appear only as the reduced
-expectations and proportions, floats only in the asymptotic
-predictions.
+RuntimeError.  One private builder, ``_row``, checks the domain of n,
+computes B_n = binom(2n, n) once and evaluates every total at it: the
+private evaluators, one per quantity, ``deg2_deg3_totals`` for Q2 and
+Q3, and the Catalan numbers C_n = B_n / (n+1) and
+C_{n-1} = B_n / (2(2n-1)) by the same asserted division, from which J
+and P follow.  ``closed_aggregate`` returns that row; ``expectations``
+and ``proportions`` are ratios of its totals.  Rationals appear only as
+those reduced ratios, floats only in the asymptotic predictions.
 """
 
 from __future__ import annotations
@@ -35,16 +33,8 @@ def _exact(numerator: int, denominator: int, what: str) -> int:
     return quotient
 
 
-# Evaluators at B = B_n, one per quantity; the public functions below
-# check the domain of n and compute B_n.
-
-
-def _catalan(n: int, b: int) -> int:
-    return _exact(b, n + 1, f"C({n})")
-
-
-def _catalan_below(n: int, b: int) -> int:
-    return _exact(b, 2 * (2 * n - 1), f"C({n - 1})")
+# Evaluators at B = B_n, one per quantity; ``_row`` below checks the
+# domain of n and computes B_n.
 
 
 def _horizontal_edges(n: int, b: int) -> int:
@@ -70,14 +60,6 @@ def _deg4(n: int, b: int) -> int:
         4 * (n + 1) * (2 * n - 1),
         f"Q4({n})",
     )
-
-
-def _internal_min(n: int, b: int) -> int:
-    return _catalan(n, b) - 2 * _catalan_below(n, b)
-
-
-def _internal_deg1(n: int, b: int) -> int:
-    return (n - 2) * _catalan_below(n, b)
 
 
 def deg2_deg3_totals(n: int, b: int) -> tuple[int, int]:
@@ -114,21 +96,17 @@ def deg2_deg3_totals(n: int, b: int) -> tuple[int, int]:
     return q2_direct, q3_direct
 
 
-def closed_aggregate(n: int) -> dict[str, int]:
-    """Every classwise total from closed forms only (n >= 2), keyed by ``CSV_FIELDS``.
-
-    >>> closed_aggregate(3)  # doctest: +NORMALIZE_WHITESPACE
-    {'n': 3, 'class_size': 5, 'H': 14, 'V': 30, 'Sigma': 58, 'Q1': 10, 'Q2': 12,
-     'Q3': 8, 'Q4': 0, 'D': 2, 'A': 2, 'J': 1, 'P': 2}
-    """
+def _row(n: int) -> dict[str, int]:
+    """Every closed-form total at n, keyed by ``CSV_FIELDS``."""
     if n < 2:
-        raise ValueError("closed_aggregate needs n >= 2")
+        raise ValueError(f"closed forms need n >= 2, got n={n}")
     b = central_binomial(n)
     q2, q3 = deg2_deg3_totals(n, b)
-    c_below = _catalan_below(n, b)  # D_n = A_n = C_{n-1}
+    c = _exact(b, n + 1, f"C({n})")
+    c_below = _exact(b, 2 * (2 * n - 1), f"C({n - 1})")  # D_n = A_n = C_{n-1}
     return {
         "n": n,
-        "class_size": _catalan(n, b),
+        "class_size": c,
         "H": _horizontal_edges(n, b),
         "V": _vertices(n, b),
         "Sigma": _degree_sum(n, b),
@@ -138,40 +116,31 @@ def closed_aggregate(n: int) -> dict[str, int]:
         "Q4": _deg4(n, b),
         "D": c_below,
         "A": c_below,
-        "J": _internal_min(n, b),
-        "P": _internal_deg1(n, b),
+        "J": c - 2 * c_below,
+        "P": (n - 2) * c_below,
     }
+
+
+def closed_aggregate(n: int) -> dict[str, int]:
+    """Every classwise total from closed forms only (n >= 2), keyed by ``CSV_FIELDS``.
+
+    >>> closed_aggregate(3)  # doctest: +NORMALIZE_WHITESPACE
+    {'n': 3, 'class_size': 5, 'H': 14, 'V': 30, 'Sigma': 58, 'Q1': 10, 'Q2': 12,
+     'Q3': 8, 'Q4': 0, 'D': 2, 'A': 2, 'J': 1, 'P': 2}
+    """
+    return _row(n)
 
 
 def expectations(n: int) -> dict[str, Fraction]:
     """Exact per-permutation expectations under the uniform class measure."""
-    if n < 2:
-        raise ValueError("expectations needs n >= 2")
-    b = central_binomial(n)
-    c = _catalan(n, b)
-    q2, q3 = deg2_deg3_totals(n, b)
-    return {
-        "H": Fraction(_horizontal_edges(n, b), c),
-        "Q1": Fraction(_deg1(n, b), c),
-        "Q2": Fraction(q2, c),
-        "Q3": Fraction(q3, c),
-        "Q4": Fraction(_deg4(n, b), c),
-    }
+    row = _row(n)
+    return {s: Fraction(row[s], row["class_size"]) for s in ("H", "Q1", "Q2", "Q3", "Q4")}
 
 
 def proportions(n: int) -> dict[int, Fraction]:
     """Exact share of vertices of each degree; the four values sum to 1."""
-    if n < 2:
-        raise ValueError("proportions needs n >= 2")
-    b = central_binomial(n)
-    v = _vertices(n, b)
-    q2, q3 = deg2_deg3_totals(n, b)
-    return {
-        1: Fraction(_deg1(n, b), v),
-        2: Fraction(q2, v),
-        3: Fraction(q3, v),
-        4: Fraction(_deg4(n, b), v),
-    }
+    row = _row(n)
+    return {r: Fraction(row[f"Q{r}"], row["V"]) for r in range(1, 5)}
 
 
 def asymptotic_proportions(n: int) -> dict[int, float]:
@@ -198,6 +167,9 @@ def closed_form_report(n: int) -> dict:
     The keys are ``n``, ``values`` (the :func:`closed_aggregate` row),
     ``expectations``, ``proportions`` and ``asymptotic``, in that order.
     """
+    # ``table`` prints no expectations; each view here builds its own
+    # row because perfbench/layers.py pins three deg2_deg3_totals calls
+    # per table row until ROADMAP item 1 re-pins it
     return {
         "n": n,
         "values": closed_aggregate(n),

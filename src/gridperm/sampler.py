@@ -140,6 +140,8 @@ def empirical_report(n: int, sample_count: int, seed: int) -> dict:
         raise ValueError("empirical_report needs n >= 2")
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative: random.Random(-s) seeds like Random(s)")
     rng = random.Random(seed)
     total_vertices = n * (n + 1) // 2
     sums = [0] * 5

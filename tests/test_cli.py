@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -71,6 +72,8 @@ def test_verify_corrupt_hook_fails_and_names_first_mismatch(capsys, monkeypatch)
     )
     assert code == 1
     assert "n=2" in err and "statistic=H" in err
+    # the hook adds 1 to the closed H, the right-hand side
+    assert err.rstrip("\n").endswith("lhs - rhs=-1")
 
 
 def test_failed_exact_check_exits_one_without_traceback(capsys, monkeypatch):
@@ -241,6 +244,22 @@ def test_emit_without_rows(capsys):
     assert capsys.readouterr().out == "[]\n"
 
 
+def test_json_rows_leave_no_cyclic_garbage(capsys):
+    rows = (
+        {"n": n, "statistic": "H", "modes": "recurrence/closed", "equal": True, "lhs": n, "rhs": n}
+        for n in range(300)
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        cli._emit(rows, "json")
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+    assert len(json.loads(capsys.readouterr().out)) == 300
+
+
 class CountingSink:
     """A stdout that keeps only the number of characters written to it."""
 
@@ -388,6 +407,13 @@ def test_sample_json_deterministic(capsys):
     assert payload["n"] == 8 and payload["seed"] == 11
     assert list(payload["mean_proportions"]) == ["0", "1", "2", "3", "4"]
     assert list(payload["std_errors"]) == ["0", "1", "2", "3", "4"]
+
+
+def test_sample_refuses_a_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "sample", "--n", "30", "--count", "200", "--seed", "-5")
+    assert code == 2
+    assert out == ""
+    assert "--seed >= 0" in err
 
 
 def test_sample_csv(capsys):

@@ -187,6 +187,8 @@ def test_report_validates_arguments():
         empirical_report(1, 10, SEED)
     with pytest.raises(ValueError):
         empirical_report(5, 0, SEED)
+    with pytest.raises(ValueError):
+        empirical_report(5, 10, -SEED - 1)
 
 
 def test_report_matches_exact_expectations_at_n3():
