@@ -8,16 +8,19 @@ rows already written stay on stdout and the ``FAIL:`` line follows on
 stderr; a reader that closes stdout early stops the work at the next
 flush of stdout's buffer.
 
-Exit codes: 0 on success; 1 when a requested verification fails, which
-is either a mismatch between routes or an exact check raising
-RuntimeError (integrality, the Q2/Q3 two-route check, a series
-coefficient or the Q4X constant term), reported as one ``FAIL:`` line
-on stderr; 2 for usage errors (including malformed permutation strings,
-fewer than two distinct verify modes, a verify range and mode set that
-give no comparison, brute mode past the enumeration cap without
-``--force``, and a negative sample seed); 141
-(128 + SIGPIPE) when the reader of stdout closes it early, as ``head``
-does.
+Handlers return nothing; ``main`` alone turns each outcome into an
+exit code.  0 on success.  1 when a check fails, which the handler or
+the exact arithmetic raises as RuntimeError and ``main`` reports as one
+``FAIL:`` line on stderr: a mismatch between ``verify`` routes, a
+nonzero ``series-check`` residual, integrality (the closed forms and
+``catalan_list``), the Q2/Q3 two-route check, a series coefficient or
+the Q4X constant term.  2 for usage errors, reported as one ``error:``
+line (including malformed permutation strings, fewer than two distinct
+verify modes, a verify range and mode set that give no comparison,
+brute mode past the enumeration cap without ``--force``, and a negative
+sample seed).  141 (128 + SIGPIPE) when the reader of stdout closes it
+early, as ``head`` does; it wins over 1, whose ``FAIL:`` line is still
+written.
 """
 
 from __future__ import annotations
@@ -64,9 +67,8 @@ def _emit(rows, fmt: str) -> None:
             writer.writerow(row.values())
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+class _UsageError(Exception):
+    """A bad command line; ``main`` prints its message and exits 2."""
 
 
 def _mode_values(mode, n, n_max, sequences):
@@ -106,18 +108,18 @@ def _comparisons(modes, n_min, n_max, mismatches):
                 yield row
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> None:
     requested = [m.strip() for m in args.modes.split(",") if m.strip()]
     for mode in requested:
         if mode not in MODES:
-            return _usage_error(f"unknown mode {mode!r}; choose from {', '.join(MODES)}")
+            raise _UsageError(f"unknown mode {mode!r}; choose from {', '.join(MODES)}")
     modes = [m for m in MODES if m in requested]
     if len(modes) < 2:
-        return _usage_error("verify needs at least two distinct modes to compare")
+        raise _UsageError("verify needs at least two distinct modes to compare")
     if args.n_min > args.n_max or args.n_min < 0:
-        return _usage_error("need 0 <= n-min <= n-max")
+        raise _UsageError("need 0 <= n-min <= n-max")
     if "brute" in modes and args.n_max > DEFAULT_BRUTE_CAP and not args.force:
-        return _usage_error(
+        raise _UsageError(
             f"brute mode requested up to n={args.n_max}, beyond the cap {DEFAULT_BRUTE_CAP}; "
             f"lower --n-max or pass --force"
         )
@@ -125,21 +127,18 @@ def cmd_verify(args) -> int:
     rows = _comparisons(modes, args.n_min, args.n_max, mismatches)
     first = next(rows, None)  # refuse before anything reaches stdout
     if first is None:
-        return _usage_error(
+        raise _UsageError(
             f"modes {','.join(modes)} give nothing to compare for "
             f"n={args.n_min}..{args.n_max} (closed forms start at n=2)"
         )
     _emit(itertools.chain([first], rows), args.format)
     if mismatches:
         row = mismatches[0]
-        print(
-            f"FAIL: first mismatch at n={row['n']}, statistic={row['statistic']} "
+        raise RuntimeError(
+            f"first mismatch at n={row['n']}, statistic={row['statistic']} "
             f"({row['modes']}): lhs={row['lhs']}, rhs={row['rhs']}, "
-            f"lhs - rhs={row['lhs'] - row['rhs']}",
-            file=sys.stderr,
+            f"lhs - rhs={row['lhs'] - row['rhs']}"
         )
-        return 1
-    return 0
 
 
 def _table_rows(n_min, n_max):
@@ -154,18 +153,17 @@ def _table_rows(n_min, n_max):
         yield row
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> None:
     if args.n_min < 2:
-        return _usage_error("table needs n-min >= 2 (closed forms start there)")
+        raise _UsageError("table needs n-min >= 2 (closed forms start there)")
     if args.n_min > args.n_max:
-        return _usage_error("need n-min <= n-max")
+        raise _UsageError("need n-min <= n-max")
     _emit(_table_rows(args.n_min, args.n_max), args.format)
-    return 0
 
 
-def cmd_series_check(args) -> int:
+def cmd_series_check(args) -> None:
     if args.order < 8:
-        return _usage_error("series checks need --order >= 8")
+        raise _UsageError("series checks need --order >= 8")
     totals = recurrences.gluing_totals(args.order + 1)
     rows = [
         series.residual_summary(name, series.check_identity(name, args.order, totals))
@@ -174,22 +172,17 @@ def cmd_series_check(args) -> int:
     _emit(rows, args.format)
     failures = [row for row in rows if row["max_nonzero_index"] != -1]
     if failures:
-        print(
-            f"FAIL: nonzero residual for {failures[0]['identity']}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        raise RuntimeError(f"nonzero residual for {failures[0]['identity']}")
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> None:
     if args.n < 2:
-        return _usage_error("sample needs --n >= 2")
+        raise _UsageError("sample needs --n >= 2")
     if args.count < 1:
-        return _usage_error("sample needs --count >= 1")
+        raise _UsageError("sample needs --count >= 1")
     if args.seed < 0:
         # random.Random(-s) seeds like Random(s)
-        return _usage_error("sample needs --seed >= 0")
+        raise _UsageError("sample needs --seed >= 0")
     report = empirical_report(args.n, args.count, args.seed)
     if args.format == "json":
         print(json.dumps(report, indent=2))
@@ -199,28 +192,25 @@ def cmd_sample(args) -> int:
         row.update({f"mean_prop{r}": p for r, p in report["mean_proportions"].items()})
         row.update({f"stderr{r}": e for r, e in report["std_errors"].items()})
         _emit([row], "csv")
-    return 0
 
 
-def cmd_degrees(args) -> int:
+def cmd_degrees(args) -> None:
     try:
         word = parse_permutation(args.word)
     except ValueError as exc:
-        return _usage_error(str(exc))
+        raise _UsageError(str(exc)) from None
     counts, h = degree_histogram(word)
     payload = {"n": len(word), "counts": dict(enumerate(counts)), "horizontal_edges": h}
     print(json.dumps(payload))
-    return 0
 
 
-def cmd_render(args) -> int:
+def cmd_render(args) -> None:
     try:
         word = parse_permutation(args.word)
         art = render_ascii(word)
     except ValueError as exc:
-        return _usage_error(str(exc))
+        raise _UsageError(str(exc)) from None
     print(art)
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -285,14 +275,20 @@ def main(argv=None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        status = args.handler(args)
+        try:
+            args.handler(args)
+            status = 0
+        except _UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            status = 2
+        except RuntimeError as exc:
+            # a route mismatch or a nonzero residual, raised by its handler;
+            # or an exact check failed: integrality, the Q2/Q3 two-route check,
+            # a series coefficient or the Q4X constant term
+            print(f"FAIL: {exc}", file=sys.stderr)
+            status = 1
         sys.stdout.flush()  # so a closed pipe shows here, not at exit
         return status
-    except RuntimeError as exc:
-        # an exact check failed: integrality, the Q2/Q3 two-route check,
-        # a series coefficient or the Q4X constant term
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # the reader closed stdout early; the flush at exit goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -11,10 +11,21 @@ from typing import Sequence
 
 
 def check_permutation(word: Sequence[int]) -> None:
-    """Raise ValueError unless ``word`` is a rearrangement of {1, .., len(word)}."""
+    """Raise ValueError unless ``word`` is a rearrangement of {1, .., len(word)}.
+
+    The message names the first entry, by its 1-based position, that is
+    outside 1..n or repeats an earlier value; it echoes neither the word
+    nor an out-of-range value, so its length is bounded by the digits of n.
+    """
     n = len(word)
-    if sorted(word) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {tuple(word)!r}")
+    if sorted(word) == list(range(1, n + 1)):
+        return
+    seen = set()
+    for pos, value in enumerate(word, 1):
+        if value in seen or value not in range(1, n + 1):
+            problem = f"repeats the value {value}" if value in seen else f"is outside 1..{n}"
+            raise ValueError(f"not a permutation of 1..{n}: entry at position {pos} {problem}")
+        seen.add(value)
 
 
 # one comma, or a run of spaces; a doubled, leading or trailing comma leaves

@@ -450,6 +450,34 @@ def test_closed_pipe_exits_141_without_traceback():
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+# the child's stdout is a pipe whose reader has gone; table's rows for
+# n = 2..4 sit in the buffer when the Q2/Q3 check fails at n = 5
+FAILED_CHECK_INTO_A_CLOSED_PIPE = """
+import os
+from gridperm import cli, closed_forms
+exact = closed_forms._deg4
+closed_forms._deg4 = lambda n, b: exact(n, b) + (n == 5)
+read_end, write_end = os.pipe()
+os.close(read_end)
+os.dup2(write_end, 1)
+raise SystemExit(cli.main(["table", "--n-min", "2", "--n-max", "6"]))
+"""
+
+
+def test_a_failed_check_into_a_closed_pipe_exits_141_with_one_line():
+    src = Path(cli.__file__).resolve().parents[1]
+    # no PYTHONUNBUFFERED, which would write each row through at once
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run(
+        [sys.executable, "-c", FAILED_CHECK_INTO_A_CLOSED_PIPE],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 141
+    assert proc.stderr.startswith("FAIL: Q2/Q3 routes disagree at n=5: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
 def test_python_dash_m_gridperm_runs_the_cli():
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
@@ -509,6 +537,52 @@ def test_render_too_large(capsys):
     word = ",".join(str(v) for v in range(1, 42))
     code, out, err = run_cli(capsys, "render", word)
     assert code == 2
+
+
+def test_degrees_names_a_repeat_in_a_long_word_briefly(capsys):
+    word = list(range(1, 12_001))
+    word[-1] = 1
+    code, out, err = run_cli(capsys, "degrees", ",".join(map(str, word)))
+    assert code == 2
+    assert out == ""
+    assert err == "error: not a permutation of 1..12000: entry at position 12000 repeats the value 1\n"
+    assert len(err) < 100
+
+
+# one call per usage-error site of the handlers
+USAGE_ERRORS = [
+    (("verify", "--modes", "magic,closed"), "unknown mode 'magic'; choose from brute, recurrence, closed"),
+    (("verify", "--n-max", "4", "--modes", "closed,closed"), "verify needs at least two distinct modes to compare"),
+    (("verify", "--n-min", "5", "--n-max", "4"), "need 0 <= n-min <= n-max"),
+    (("verify", "--n-min", "-1", "--n-max", "4"), "need 0 <= n-min <= n-max"),
+    (
+        ("verify", "--n-max", "15", "--modes", "brute,closed"),
+        "brute mode requested up to n=15, beyond the cap 14; lower --n-max or pass --force",
+    ),
+    (
+        ("verify", "--n-min", "0", "--n-max", "1"),
+        "modes recurrence,closed give nothing to compare for n=0..1 (closed forms start at n=2)",
+    ),
+    (("table", "--n-min", "0", "--n-max", "4"), "table needs n-min >= 2 (closed forms start there)"),
+    (("table", "--n-min", "5", "--n-max", "4"), "need n-min <= n-max"),
+    (("series-check", "--order", "7"), "series checks need --order >= 8"),
+    (("sample", "--n", "1"), "sample needs --n >= 2"),
+    (("sample", "--n", "5", "--count", "0"), "sample needs --count >= 1"),
+    (("sample", "--n", "5", "--seed", "-1"), "sample needs --seed >= 0"),
+    (("degrees", "41x2"), "bad character 'x' at position 3"),
+    (("render", "1,2,,3"), "bad token '' at position 3"),
+    (("render", ",".join(str(v) for v in range(1, 42))), "render_ascii supports n <= 40"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", USAGE_ERRORS, ids=[" ".join(argv)[:40] for argv, _ in USAGE_ERRORS]
+)
+def test_usage_errors_exit_two_with_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_verify_byte_identical_reruns(capsys):

@@ -103,8 +103,13 @@ def test_parse_errors_carry_position():
         parse_permutation("41x2")
     with pytest.raises(ValueError, match="position 2"):
         parse_permutation("4,x,3,2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="position 4 repeats the value 3"):
         parse_permutation("4,1,3,3")
+    # a value past n is named by its position, not echoed
+    with pytest.raises(ValueError, match=r"position 2 is outside 1\.\.3$"):
+        parse_permutation("1,5,2")
+    with pytest.raises(ValueError, match=r"position 1 is outside 1\.\.2$"):
+        parse_permutation("31")
     # digits outside ASCII are refused by position, not read as values
     with pytest.raises(ValueError, match="position 1"):
         parse_permutation("\u0662\u0661")  # Arabic-Indic 2, 1
