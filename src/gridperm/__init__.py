@@ -9,6 +9,7 @@ random sampler.
 
 from .closed_forms import (
     asymptotic_proportions,
+    central_binomial,
     closed_aggregate,
     closed_form_report,
     deg2_deg3_totals,
@@ -18,7 +19,6 @@ from .closed_forms import (
 from .enumeration import (
     aggregate_brute,
     aggregate_stats,
-    central_binomial,
     enumerate_av213,
 )
 from .grid_graph import degree_histogram, render_ascii

@@ -12,15 +12,15 @@ Handlers return nothing; ``main`` alone turns each outcome into an
 exit code.  0 on success.  1 when a check fails, which the handler or
 the exact arithmetic raises as RuntimeError and ``main`` reports as one
 ``FAIL:`` line on stderr: a mismatch between ``verify`` routes, a
-nonzero ``series-check`` residual, integrality (the closed forms and
-``catalan_list``), the Q2/Q3 two-route check, a series coefficient or
-the Q4X constant term.  2 for usage errors, reported as one ``error:``
-line (including malformed permutation strings, fewer than two distinct
-verify modes, a verify range and mode set that give no comparison,
-brute mode past the enumeration cap without ``--force``, and a negative
-sample seed).  141 (128 + SIGPIPE) when the reader of stdout closes it
-early, as ``head`` does; it wins over 1, whose ``FAIL:`` line is still
-written.
+nonzero ``series-check`` residual, integrality of the closed forms,
+the Q2/Q3 two-route check, a series coefficient (including the halving
+that reads the Catalan series off sqrt(1 - 4x)) or the Q4X constant
+term.  2 for usage errors, reported as one ``error:`` line (including
+malformed permutation strings, fewer than two distinct verify modes, a
+verify range and mode set that give no comparison, brute mode past the
+enumeration cap without ``--force``, and a negative sample seed).  141
+(128 + SIGPIPE) when the reader of stdout closes it early, as ``head``
+does; it wins over 1, whose ``FAIL:`` line is still written.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import os
 import sys
 
 from . import closed_forms, recurrences, series
-from .enumeration import CSV_FIELDS, DEFAULT_BRUTE_CAP, aggregate_brute, central_binomial
+from .enumeration import CSV_FIELDS, DEFAULT_BRUTE_CAP, aggregate_brute
 from .grid_graph import degree_histogram, render_ascii
 from .permutations import parse_permutation
 from .sampler import empirical_report
@@ -145,7 +145,7 @@ def _table_rows(n_min, n_max):
     for n in range(n_min, n_max + 1):
         report = closed_forms.closed_form_report(n)
         row = dict(report["values"])
-        row["B"] = central_binomial(n)
+        row["B"] = closed_forms.central_binomial(n)
         for r, share in report["proportions"].items():
             row[f"prop{r}"] = f"{share.numerator}/{share.denominator}"
         for r, prediction in report["asymptotic"].items():
@@ -268,12 +268,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     # exact totals pass the interpreter's int->str digit limit (4,300
-    # by default) near n = 7,200; lift it for this call where it exists
-    digit_limit = (
-        sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    )
-    if digit_limit is not None:
-        sys.set_int_max_str_digits(0)
+    # by default) near n = 7,200; lift it for this call
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         try:
             args.handler(args)
@@ -294,8 +291,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     finally:
-        if digit_limit is not None:
-            sys.set_int_max_str_digits(digit_limit)
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

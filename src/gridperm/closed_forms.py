@@ -4,14 +4,16 @@ Each formula mixes central binomials with powers of four over a
 polynomial denominator; that such quotients are integers is itself a
 nontrivial fact.  So every total is an integer numerator divided by its
 denominator with ``divmod``, and a nonzero remainder raises
-RuntimeError.  One private builder, ``_row``, checks the domain of n,
-computes B_n = binom(2n, n) once and evaluates every total at it: the
-private evaluators, one per quantity, ``deg2_deg3_totals`` for Q2 and
-Q3, and the Catalan numbers C_n = B_n / (n+1) and
-C_{n-1} = B_n / (2(2n-1)) by the same asserted division, from which J
-and P follow.  ``closed_aggregate`` returns that row; ``expectations``
-and ``proportions`` are ratios of its totals.  Rationals appear only as
-those reduced ratios, floats only in the asymptotic predictions.
+RuntimeError.  B_n = binom(2n, n) is this module's own
+``central_binomial``, so it imports no other route.  One private
+builder, ``_row``, checks the domain of n, computes B_n once and
+evaluates every total at it: the private evaluators, one per quantity,
+``deg2_deg3_totals`` for Q2 and Q3, and the Catalan numbers
+C_n = B_n / (n+1) and C_{n-1} = B_n / (2(2n-1)) by the same asserted
+division, from which J and P follow.  ``closed_aggregate`` returns that
+row; ``expectations`` and ``proportions`` are ratios of its totals.
+Rationals appear only as those reduced ratios, floats only in the
+asymptotic predictions.
 """
 
 from __future__ import annotations
@@ -19,9 +21,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .enumeration import central_binomial
-
 _SQRT_PI = math.sqrt(math.pi)
+
+
+def central_binomial(n: int) -> int:
+    """B_n = binom(2n, n), exactly."""
+    return math.comb(2 * n, n)
 
 
 def _exact(numerator: int, denominator: int, what: str) -> int:

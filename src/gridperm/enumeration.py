@@ -1,4 +1,4 @@
-"""Catalan counting, exhaustive generation of Av_n(213), and brute aggregates.
+"""The brute route: exhaustive generation of Av_n(213) and brute aggregates.
 
 The generator builds each 213-avoider exactly once from the block
 decomposition at the minimum (output-linear, no filtering), each block
@@ -11,7 +11,6 @@ per member.
 
 from __future__ import annotations
 
-import math
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
@@ -34,27 +33,6 @@ CSV_FIELDS = (
     "J",
     "P",
 )
-
-
-def catalan_list(n_max: int) -> list[int]:
-    """Catalan numbers 0..n_max as one shared table, by the running
-    product C_{k+1} = C_k 2(2k + 1) / (k + 2), every division exact.
-
-    >>> catalan_list(5)
-    [1, 1, 2, 5, 14, 42]
-    """
-    table = [1] if n_max >= 0 else []
-    for k in range(n_max):
-        c, rem = divmod(table[-1] * 2 * (2 * k + 1), k + 2)
-        if rem:
-            raise RuntimeError(f"Catalan number {k + 1} is not an integer")
-        table.append(c)
-    return table
-
-
-def central_binomial(n: int) -> int:
-    """binom(2n, n), exactly."""
-    return math.comb(2 * n, n)
 
 
 def _generate(n: int, low: int = 1) -> Iterator[tuple[int, ...]]:
@@ -87,6 +65,9 @@ def enumerate_av213(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]
     ceil(n/2) values are kept and reused, so memory is O(C_{ceil(n/2)})
     tuples.  Guarded by ``cap`` (default 14) because the class grows
     like 4^n; a negative ``n`` is refused.
+
+    >>> list(enumerate_av213(3))
+    [(1, 2, 3), (1, 3, 2), (3, 1, 2), (2, 3, 1), (3, 2, 1)]
     """
     if n < 0:
         raise ValueError(f"n={n} is negative")

@@ -12,14 +12,14 @@ it is checked against.
 All five totals come from one pass over n, :func:`gluing_totals`, the
 module's only entry point.  What the blocks keep of a total S is the
 Catalan convolution 2 sum_i C_{n-1-i} S_i, the 2 x C S term of the
-functional equations (1 - 2 x C) S = ... that HFE and Q4FE check.
+functional equations (1 - 2 x C) S = ... that HFE and Q4FE check.  The
+pass counts its own Catalan numbers: C_n is the number of words over
+the splits of n, so the module imports no other route.
 """
 
 from __future__ import annotations
 
 from operator import mul, sub
-
-from .enumeration import catalan_list
 
 STATISTICS = ("H", "Q4", "D", "J", "P")
 
@@ -97,7 +97,7 @@ def gluing_totals(n_max: int) -> dict[str, list[int]]:
     >>> totals["D"], totals["J"], totals["P"]
     ([0, 0, 1, 2, 5, 14], [0, 0, 0, 1, 4, 14], [0, 0, 0, 2, 10, 42])
     """
-    cat = catalan_list(max(n_max, 0))
+    cat = [1]  # C_0 .. C_{n-1}; C_n is appended once the words of n are counted
     h, q4, d, jm, p = ([0] * (n_max + 1) for _ in STATISTICS)
     for n in range(1, n_max + 1):
         # entry i of each list belongs to the split (i, j = n - 1 - i)
@@ -107,6 +107,7 @@ def gluing_totals(n_max: int) -> dict[str, list[int]]:
         # products and mirror them
         half = list(map(mul, cat[: (n + 1) // 2], cj))
         words = half + half[: n // 2][::-1]
+        cat.append(sum(words))
         # C_j D_i; read backwards it is C_i D_j
         left_d = list(map(mul, cj, d))
         # every word keeps both blocks' own edges, degree-4 vertices

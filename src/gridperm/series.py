@@ -7,8 +7,9 @@ built through order + 1 from one operand of order ``order`` (C' or the
 shifted Q4X numerator), so it has order ``order`` with no truncation.
 Every series the identities use has integer coefficients, so no
 rational arithmetic is needed.  On top of the arithmetic sit the
-algebraic elements used by the verification suite (the Catalan series
-and the powers (1-4x)^(k/2)) and :func:`check_identity`, which rebuilds
+algebraic elements used by the verification suite (the powers
+(1-4x)^(k/2), and the Catalan series read off the square root, so this
+module imports no other route) and :func:`check_identity`, which rebuilds
 each generating-function identity from the sequences of one
 ``recurrences.gluing_totals`` pass and returns the left-minus-right
 residual.  :class:`TruncatedSeries` is a plain slotted class, not a
@@ -20,8 +21,6 @@ from __future__ import annotations
 
 import operator
 from typing import Callable, Sequence
-
-from .enumeration import catalan_list
 
 
 class TruncatedSeries:
@@ -140,15 +139,22 @@ def half_power(k: int, order: int) -> TruncatedSeries:
 
 
 def catalan_series(order: int) -> TruncatedSeries:
-    """The Catalan generating function prefix.
+    """The Catalan generating function prefix, read off sqrt(1 - 4x).
 
-    Satisfies C = 1 + x C^2 and 1 - 2 x C = sqrt(1 - 4x) exactly through
-    the stated order.
+    1 - 2 x C = sqrt(1 - 4x), so C_m = -s_{m+1} / 2 for the square
+    root's coefficients s; a remainder in that halving raises
+    RuntimeError.  The prefix satisfies C = 1 + x C^2 exactly.
 
     >>> catalan_series(4).coeffs
     (1, 1, 2, 5, 14)
     """
-    return TruncatedSeries(catalan_list(order))
+    coeffs = []
+    for m, s in enumerate(half_power(1, order + 1).coeffs[1:], 1):
+        c, rem = divmod(-s, 2)
+        if rem:
+            raise RuntimeError(f"coefficient {m} of (1 - 4x)^(1/2) is odd")
+        coeffs.append(c)
+    return TruncatedSeries(coeffs)
 
 
 def _basis(order: int) -> tuple[TruncatedSeries, ...]:

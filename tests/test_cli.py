@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from gridperm import cli, closed_forms, recurrences
+from gridperm import cli, closed_forms, recurrences, series
 from gridperm.cli import main
 
 
@@ -96,6 +96,24 @@ def test_integrality_failure_exits_one_without_traceback(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("FAIL: integrality failure")
     assert "Traceback" not in err
+
+
+def test_odd_square_root_coefficient_fails_the_catalan_halving(capsys, monkeypatch):
+    exact = series.half_power
+
+    def corrupted(k, order):
+        coeffs = list(exact(k, order).coeffs)
+        if k == 1 and order >= 5:
+            coeffs[5] += 1
+        return series.TruncatedSeries(coeffs)
+
+    monkeypatch.setattr(series, "half_power", corrupted)
+    with pytest.raises(RuntimeError, match=r"^coefficient 5 of \(1 - 4x\)\^\(1/2\) is odd$"):
+        series.catalan_series(16)
+    code, out, err = run_cli(capsys, "series-check", "--order", "16")
+    assert code == 1
+    assert out == ""
+    assert err == "FAIL: coefficient 5 of (1 - 4x)^(1/2) is odd\n"
 
 
 def test_verify_needs_two_distinct_modes(capsys):
@@ -197,23 +215,20 @@ def test_table_rows(capsys):
 
 def test_table_past_the_int_to_str_digit_limit(capsys):
     # B_7200 has 4,333 digits, past the interpreter's default limit of 4,300
-    has_limit = hasattr(sys, "get_int_max_str_digits")
-    limit = sys.get_int_max_str_digits() if has_limit else None
+    limit = sys.get_int_max_str_digits()
     code, out, err = run_cli(capsys, "table", "--n-min", "7200", "--n-max", "7200")
     assert code == 0
     assert err == ""
     (row,) = parse_csv(out)
     assert len(row["B"]) == 4333
-    if has_limit:
-        assert sys.get_int_max_str_digits() == limit  # main restored it
-        sys.set_int_max_str_digits(0)
+    assert sys.get_int_max_str_digits() == limit  # main restored it
+    sys.set_int_max_str_digits(0)
     try:
         assert int(row["B"]) == math.comb(14400, 7200)
         assert sum(int(row[f"Q{r}"]) for r in range(1, 5)) == int(row["V"])
         assert sum(Fraction(row[f"prop{r}"]) for r in range(1, 5)) == 1
     finally:
-        if has_limit:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("command", ["verify", "table"])

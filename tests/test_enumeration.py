@@ -18,27 +18,29 @@ from conftest import (
 from gridperm import (
     aggregate_brute,
     aggregate_stats,
+    catalan_series,
     central_binomial,
     closed_aggregate,
     enumerate_av213,
     gluing_totals,
 )
-from gridperm.enumeration import CSV_FIELDS, catalan_list
+from gridperm.enumeration import CSV_FIELDS
 
 CATALAN = catalan_by_convolution(15)
 
 
 @pytest.mark.parametrize("n, expected", [(0, 1), (4, 14), (10, 16796), (12, 208012)])
 def test_catalan_values(n, expected):
-    assert catalan_list(n)[n] == expected
+    assert catalan_series(n).coeffs[n] == expected
 
 
 def test_catalan_matches_convolution():
-    assert catalan_list(15) == CATALAN
+    assert list(catalan_series(15).coeffs) == CATALAN
 
 
 def test_catalan_list_matches_catalan():
-    assert catalan_list(200) == [central_binomial(k) // (k + 1) for k in range(201)]
+    expected = tuple(central_binomial(k) // (k + 1) for k in range(201))
+    assert catalan_series(200).coeffs == expected
 
 
 @pytest.mark.parametrize("n, expected", [(0, 1), (4, 70), (10, 184756)])

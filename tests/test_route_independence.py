@@ -1,6 +1,7 @@
-"""The exact routes stay independent: neither imports the other or the series
-checks; production keeps one histogram body and no export that only the
-tests call; and the brute route computes every member's histogram itself."""
+"""The exact routes stay independent: each is a leaf module that imports no
+other gridperm module, and the brute route imports only the histogram;
+production keeps one histogram body and no export that only the tests
+call; and the brute route computes every member's histogram itself."""
 
 from __future__ import annotations
 
@@ -39,7 +40,8 @@ def gridperm_imports(module: str) -> set[str]:
 
 def test_import_scan_sees_the_cli_routes():
     assert {"closed_forms", "recurrences", "series"} <= gridperm_imports("cli")
-    assert "enumeration" in gridperm_imports("recurrences")
+    assert "grid_graph" in gridperm_imports("enumeration")
+    assert "grid_graph" in gridperm_imports("sampler")
 
 
 @pytest.mark.parametrize(
@@ -52,6 +54,12 @@ def test_import_scan_sees_the_cli_routes():
 )
 def test_exact_routes_do_not_import_each_other(module, forbidden):
     assert not gridperm_imports(module) & forbidden
+
+
+def test_exact_routes_are_leaf_modules():
+    for module in ("recurrences", "closed_forms", "series"):
+        assert gridperm_imports(module) == set(), module
+    assert gridperm_imports("enumeration") == {"grid_graph"}
 
 
 def test_one_histogram_body():
