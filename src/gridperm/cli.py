@@ -279,9 +279,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             status = 2
         except RuntimeError as exc:
-            # a route mismatch or a nonzero residual, raised by its handler;
-            # or an exact check failed: integrality, the Q2/Q3 two-route check,
-            # a series coefficient or the Q4X constant term
+            # a failed check: the exit-1 list in the module docstring
             print(f"FAIL: {exc}", file=sys.stderr)
             status = 1
         sys.stdout.flush()  # so a closed pipe shows here, not at exit

@@ -119,10 +119,8 @@ def render_ascii(word: Sequence[int]) -> str:
     n = len(word)
     if n > MAX_RENDER_COLUMNS:
         raise ValueError(f"render_ascii supports n <= {MAX_RENDER_COLUMNS}")
-    if n == 0:
-        return ""
     lines = []
-    for level in range(max(word), 0, -1):
+    for level in range(max(word, default=0), 0, -1):
         dots = []
         bars = []
         for i, h in enumerate(word):

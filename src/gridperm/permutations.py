@@ -18,8 +18,6 @@ def check_permutation(word: Sequence[int]) -> None:
     nor an out-of-range value, so its length is bounded by the digits of n.
     """
     n = len(word)
-    if sorted(word) == list(range(1, n + 1)):
-        return
     seen = set()
     for pos, value in enumerate(word, 1):
         if value in seen or value not in range(1, n + 1):
@@ -39,8 +37,8 @@ def parse_permutation(text: str) -> tuple[int, ...]:
 
     Accepts the digit shorthand for n <= 9 ("4132") and comma- or
     space-separated values otherwise ("4,1,3,2" or "10 1 2 ... 9").
-    Only the ASCII digits count as digits.  Errors carry the 1-based
-    position of the offending character/token.
+    Only the ASCII digits count as digits, and no entry may be zero.
+    Errors carry the 1-based position of the offending character/token.
 
     >>> parse_permutation("4132")
     (4, 1, 3, 2)
@@ -48,20 +46,15 @@ def parse_permutation(text: str) -> tuple[int, ...]:
     (10, 1, 2)
     """
     s = text.strip()
-    if not s:
-        return ()
-    if _SEPARATORS.search(s):
-        values = []
-        for pos, token in enumerate(_SEPARATORS.split(s)):
-            if not _TOKEN.fullmatch(token) or int(token) == 0:
-                raise ValueError(f"bad token {token!r} at position {pos + 1}")
-            values.append(int(token))
-    else:
-        values = []
-        for pos, ch in enumerate(s):
-            if ch not in "123456789":
-                raise ValueError(f"bad character {ch!r} at position {pos + 1}")
-            values.append(int(ch))
+    separated = _SEPARATORS.search(s)
+    # separated text is split into tokens; the shorthand is one value per character
+    tokens = _SEPARATORS.split(s) if separated else s
+    kind = "token" if separated else "character"
+    values = []
+    for pos, token in enumerate(tokens, 1):
+        if not _TOKEN.fullmatch(token) or int(token) == 0:
+            raise ValueError(f"bad {kind} {token!r} at position {pos}")
+        values.append(int(token))
     word = tuple(values)
     check_permutation(word)
     return word

@@ -12,9 +12,10 @@ algebraic elements used by the verification suite (the powers
 module imports no other route) and :func:`check_identity`, which rebuilds
 each generating-function identity from the sequences of one
 ``recurrences.gluing_totals`` pass and returns the left-minus-right
-residual.  :class:`TruncatedSeries` is a plain slotted class, not a
-dataclass, so that importing the CLI stays cheap: ``dataclasses`` would
-pull in ``inspect``, ``ast`` and ``dis`` on every run.
+residual.  :class:`TruncatedSeries` keeps its coefficients in one
+private slot behind the read-only ``coeffs`` property.  It is a plain
+slotted class, not a dataclass, so that importing the CLI stays cheap:
+``dataclasses`` would pull in ``inspect``, ``ast`` and ``dis`` on every run.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from typing import Callable, Sequence
 class TruncatedSeries:
     """Exact power-series prefix: integer coefficients of x^0 .. x^order.
 
-    Immutable and compared by value.
+    Immutable and compared by value: ``coeffs`` is read-only, and copy
+    and pickle go through the default slot protocol.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs):
         # operator.index rejects rationals and floats rather than coercing them
@@ -37,61 +39,55 @@ class TruncatedSeries:
         # checked after the conversion, so an empty iterator is refused too
         if not values:
             raise ValueError("a series needs at least its constant term")
-        object.__setattr__(self, "coeffs", values)
+        self._coeffs = values
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, not by assigning the slot
-        return TruncatedSeries, (self.coeffs,)
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return self._coeffs
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self._coeffs)
 
     def __repr__(self):
-        return f"TruncatedSeries(coeffs={self.coeffs!r})"
+        return f"TruncatedSeries(coeffs={self._coeffs!r})"
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._coeffs) - 1
 
     def __getitem__(self, index: int) -> int:
-        return self.coeffs[index]
+        return self._coeffs[index]
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return all(c == 0 for c in self._coeffs)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return TruncatedSeries(tuple(map(operator.add, self.coeffs, other.coeffs)))
+        return TruncatedSeries(tuple(map(operator.add, self._coeffs, other._coeffs)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return TruncatedSeries(tuple(map(operator.sub, self.coeffs, other.coeffs)))
+        return TruncatedSeries(tuple(map(operator.sub, self._coeffs, other._coeffs)))
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             k = min(self.order, other.order)
             out = [0] * (k + 1)
-            for i, a in enumerate(self.coeffs[: k + 1]):
+            for i, a in enumerate(self._coeffs[: k + 1]):
                 if a == 0:
                     continue
                 for j in range(k + 1 - i):
-                    out[i + j] += a * other.coeffs[j]
+                    out[i + j] += a * other._coeffs[j]
             return TruncatedSeries(tuple(out))
         if isinstance(other, int):
-            return TruncatedSeries(tuple(c * other for c in self.coeffs))
+            return TruncatedSeries(tuple(c * other for c in self._coeffs))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -103,7 +99,7 @@ class TruncatedSeries:
         (0, 2, 0)
         """
         return TruncatedSeries(
-            tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1)
+            tuple(i * c for i, c in enumerate(self._coeffs) if i >= 1)
         )
 
 

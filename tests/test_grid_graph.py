@@ -102,6 +102,7 @@ def test_shift_law(word, t):
 
 def test_render_single_vertex():
     assert render_ascii((1,)) == "o"
+    assert render_ascii(()) == ""
 
 
 def test_render_two_columns():

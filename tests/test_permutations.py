@@ -124,6 +124,11 @@ def test_parse_errors_carry_position():
         parse_permutation(",1,2")
     with pytest.raises(ValueError, match="position 3"):
         parse_permutation("1,2,")
+    # a zero entry is refused by its position in both forms
+    with pytest.raises(ValueError, match=r"^bad character '0' at position 2$"):
+        parse_permutation("102")
+    with pytest.raises(ValueError, match=r"^bad token '0' at position 2$"):
+        parse_permutation("1,0")
 
 
 @given(perm_words(12))

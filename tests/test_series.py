@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -147,7 +149,12 @@ def test_series_refuses_assignment():
     s = polynomial([1, 2], 1)
     with pytest.raises(AttributeError):
         s.coeffs = (3, 4)
+    with pytest.raises(AttributeError):
+        del s.coeffs
     assert s.coeffs == (1, 2)
+    assert copy.copy(s) == s
+    assert copy.deepcopy(s) == s
+    assert pickle.loads(pickle.dumps(s)) == s
 
 
 def test_series_repr():
