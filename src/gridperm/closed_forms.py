@@ -7,11 +7,12 @@ denominator with ``divmod``, and a nonzero remainder raises
 RuntimeError.  B_n = binom(2n, n) is this module's own
 ``central_binomial``, so it imports no other route.  One private
 builder, ``_row``, checks the domain of n, computes B_n once and
-evaluates every total at it: the private evaluators, one per quantity,
-``deg2_deg3_totals`` for Q2 and Q3, and the Catalan numbers
-C_n = B_n / (n+1) and C_{n-1} = B_n / (2(2n-1)) by the same asserted
-division, from which J and P follow.  ``closed_aggregate`` returns that
-row; ``expectations`` and ``proportions`` are ratios of its totals.
+evaluates every total once at it: the private evaluators, one per
+quantity, ``deg2_deg3_totals`` for the explicit Q2 and Q3, and the
+Catalan numbers C_n = B_n / (n+1) and C_{n-1} = B_n / (2(2n-1)), from
+which J and P follow.  It checks Q2 and Q3 against the system that its
+own V, Sigma, Q1 and Q4 fix.  ``closed_aggregate`` returns that row;
+``expectations`` and ``proportions`` are ratios of its totals.
 Rationals appear only as those reduced ratios, floats only in the
 asymptotic predictions.
 """
@@ -68,37 +69,25 @@ def _deg4(n: int, b: int) -> int:
 
 
 def deg2_deg3_totals(n: int, b: int) -> tuple[int, int]:
-    """(Q2(n), Q3(n)) at B = B_n, computed two independent ways and asserted equal.
+    """(Q2(n), Q3(n)) at B = B_n, from their explicit fractions.
 
-    Route one evaluates the explicit fractions; route two solves the
-    2x2 system fixed by the vertex total and the degree sum together
-    with Q1 and Q4.  Disagreement is a hard failure.
+    ``_row`` checks them against the 2x2 system fixed by its own vertex
+    total and degree sum together with Q1 and Q4.
     """
     if n < 2:
         raise ValueError("deg2_deg3_totals needs n >= 2")
     four_n = 4**n
-    q2_direct = _exact(
+    q2 = _exact(
         (12 * n**2 + 44 * n - 112) * b + (2 * n**2 + n - 1) * four_n,
         16 * (n + 1) * (2 * n - 1),
         f"Q2({n})",
     )
-    q3_direct = _exact(
+    q3 = _exact(
         (8 * n**2 - 96 * n + 88) * b + (6 * n**2 + 3 * n - 3) * four_n,
         8 * (n + 1) * (2 * n - 1),
         f"Q3({n})",
     )
-    q1 = _deg1(n, b)
-    q4 = _deg4(n, b)
-    s1 = _vertices(n, b) - q1 - q4
-    s2 = _degree_sum(n, b) - q1 - 4 * q4
-    q3_system = s2 - 2 * s1
-    q2_system = s1 - q3_system
-    if (q2_direct, q3_direct) != (q2_system, q3_system):
-        raise RuntimeError(
-            f"Q2/Q3 routes disagree at n={n}: "
-            f"direct ({q2_direct}, {q3_direct}) vs system ({q2_system}, {q3_system})"
-        )
-    return q2_direct, q3_direct
+    return q2, q3
 
 
 def _row(n: int) -> dict[str, int]:
@@ -107,18 +96,27 @@ def _row(n: int) -> dict[str, int]:
         raise ValueError(f"closed forms need n >= 2, got n={n}")
     b = central_binomial(n)
     q2, q3 = deg2_deg3_totals(n, b)
+    q1, q4, v, sigma = _deg1(n, b), _deg4(n, b), _vertices(n, b), _degree_sum(n, b)
+    s1 = v - q1 - q4  # Q2 + Q3; Sigma less Q1 and 4 Q4 is Q2 + 2 Q3
+    q3_system = sigma - q1 - 4 * q4 - 2 * s1
+    q2_system = s1 - q3_system
+    if (q2, q3) != (q2_system, q3_system):
+        raise RuntimeError(
+            f"Q2/Q3 routes disagree at n={n}: "
+            f"direct ({q2}, {q3}) vs system ({q2_system}, {q3_system})"
+        )
     c = _exact(b, n + 1, f"C({n})")
     c_below = _exact(b, 2 * (2 * n - 1), f"C({n - 1})")  # D_n = A_n = C_{n-1}
     return {
         "n": n,
         "class_size": c,
         "H": _horizontal_edges(n, b),
-        "V": _vertices(n, b),
-        "Sigma": _degree_sum(n, b),
-        "Q1": _deg1(n, b),
+        "V": v,
+        "Sigma": sigma,
+        "Q1": q1,
         "Q2": q2,
         "Q3": q3,
-        "Q4": _deg4(n, b),
+        "Q4": q4,
         "D": c_below,
         "A": c_below,
         "J": c - 2 * c_below,

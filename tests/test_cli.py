@@ -159,8 +159,11 @@ def test_verify_cap_override_needs_force(capsys, monkeypatch):
 
 
 def test_verify_rejects_unknown_mode(capsys):
-    code, out, err = run_cli(capsys, "verify", "--modes", "magic,closed")
+    # mode names are case-sensitive, and the first unknown one is named
+    code, out, err = run_cli(capsys, "verify", "--modes", "Closed,recurrence")
     assert code == 2
+    assert out == ""
+    assert err == "error: unknown mode 'Closed'; choose from brute, recurrence, closed\n"
 
 
 def test_verify_json_output(capsys):
@@ -343,8 +346,13 @@ def test_verify_memory_is_the_gluing_pass_not_the_rows(monkeypatch):
 
 
 def test_table_requires_n_min_two(capsys):
-    code, out, err = run_cli(capsys, "table", "--n-min", "0", "--n-max", "4")
+    code, out, err = run_cli(capsys, "table", "--n-min", "1")
     assert code == 2
+    assert out == ""
+    assert err == "error: table needs n-min >= 2 (closed forms start there)\n"
+    code, out, err = run_cli(capsys, "table", "--n-min", "2", "--n-max", "2")
+    assert code == 0
+    assert [row["n"] for row in parse_csv(out)] == ["2"]
 
 
 def test_series_check(capsys):
@@ -395,8 +403,14 @@ def test_series_check_refuses_a_q4x_constant_term(capsys, doubled_sqrt):
 
 
 def test_series_check_order_floor(capsys):
+    code, out, err = run_cli(capsys, "series-check", "--order", "8")
+    assert code == 0
+    rows = parse_csv(out)
+    assert [row["order"] for row in rows] == ["8"] * 5
+    assert all(row["max_nonzero_index"] == "-1" for row in rows)
     code, out, err = run_cli(capsys, "series-check", "--order", "7")
     assert code == 2
+    assert out == ""
 
 
 def test_sample_json_deterministic(capsys):
@@ -549,9 +563,13 @@ def test_render(capsys):
 
 
 def test_render_too_large(capsys):
-    word = ",".join(str(v) for v in range(1, 42))
-    code, out, err = run_cli(capsys, "render", word)
+    code, out, err = run_cli(capsys, "render", ",".join(str(v) for v in range(1, 41)))
+    assert code == 0
+    # 40 rows of vertices joined by 39 rows of vertical edges; V = 40 * 41 / 2
+    assert len(out.splitlines()) == 79 and out.count("o") == 820
+    code, out, err = run_cli(capsys, "render", ",".join(str(v) for v in range(1, 42)))
     assert code == 2
+    assert out == ""
 
 
 def test_degrees_names_a_repeat_in_a_long_word_briefly(capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from gridperm import (
     central_binomial,
     closed_aggregate,
     closed_form_report,
+    closed_forms,
     deg2_deg3_totals,
     expectations,
     proportions,
@@ -89,6 +91,28 @@ def test_expectations():
 def test_proportions_sum_to_one():
     for n in (2, 3, 10, 50):
         assert sum(proportions(n).values()) == 1
+
+
+def test_a_row_evaluates_each_total_once(monkeypatch):
+    evaluators = ("_vertices", "_degree_sum", "_deg1", "_deg4", "deg2_deg3_totals")
+    calls = Counter()
+    for name in evaluators:
+        def counted(n, b, name=name, evaluate=getattr(closed_forms, name)):
+            calls[name] += 1
+            return evaluate(n, b)
+
+        monkeypatch.setattr(closed_forms, name, counted)
+    closed_aggregate(7)
+    assert calls == Counter(evaluators)
+
+
+@pytest.mark.parametrize("name", ["_vertices", "_degree_sum"])
+def test_an_off_by_one_v_or_sigma_fails_the_q2q3_check(monkeypatch, name):
+    evaluate = getattr(closed_forms, name)
+    monkeypatch.setattr(closed_forms, name, lambda n, b: evaluate(n, b) + (n == 6))
+    closed_aggregate(5)
+    with pytest.raises(RuntimeError, match=r"^Q2/Q3 routes disagree at n=6: direct \("):
+        closed_aggregate(6)
 
 
 def test_integrality_sweep():

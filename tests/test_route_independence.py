@@ -1,11 +1,14 @@
 """The exact routes stay independent: each is a leaf module that imports no
-other gridperm module, and the brute route imports only the histogram;
-production keeps one histogram body and no export that only the tests
-call; and the brute route computes every member's histogram itself."""
+other gridperm module and computes when loaded alone from its file, and
+the brute route imports only the histogram; production keeps one
+histogram body and no export that only the tests call; and the brute
+route computes every member's histogram itself."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,6 +47,24 @@ def test_import_scan_sees_the_cli_routes():
     assert "grid_graph" in gridperm_imports("sampler")
 
 
+# load one route's file as a module of its own, with gridperm blocked
+LOAD_ONE_FILE = """
+import importlib.util, sys
+sys.modules["gridperm"] = None
+path, expression = sys.argv[1:]
+spec = importlib.util.spec_from_file_location("route", path)
+route = sys.modules["route"] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(route)
+print(eval(expression, vars(route)))
+"""
+
+ROUTE_PROBES = {
+    "recurrences": ('gluing_totals(5)["H"]', [0, 0, 2, 14, 76, 374]),
+    "closed_forms": ('closed_aggregate(3)["H"] == 14', True),
+    "series": ("catalan_series(4).coeffs", (1, 1, 2, 5, 14)),
+}
+
+
 @pytest.mark.parametrize(
     "module, forbidden",
     [
@@ -54,6 +75,15 @@ def test_import_scan_sees_the_cli_routes():
 )
 def test_exact_routes_do_not_import_each_other(module, forbidden):
     assert not gridperm_imports(module) & forbidden
+    # the scan cannot see a dynamic import; a route that still computes
+    # with gridperm unimportable reached no other gridperm module
+    expression, expected = ROUTE_PROBES[module]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", LOAD_ONE_FILE, str(PACKAGE / f"{module}.py"), expression],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{expected}\n"
 
 
 def test_exact_routes_are_leaf_modules():
