@@ -15,12 +15,13 @@ the exact arithmetic raises as RuntimeError and ``main`` reports as one
 nonzero ``series-check`` residual, integrality of the closed forms,
 the Q2/Q3 two-route check, a series coefficient (including the halving
 that reads the Catalan series off sqrt(1 - 4x)) or the Q4X constant
-term.  2 for usage errors, reported as one ``error:`` line (including
-malformed permutation strings, fewer than two distinct verify modes, a
-verify range and mode set that give no comparison, brute mode past the
-enumeration cap without ``--force``, and a negative sample seed).  141
-(128 + SIGPIPE) when the reader of stdout closes it early, as ``head``
-does; it wins over 1, whose ``FAIL:`` line is still written.
+term.  2 for usage errors, reported as one ``error:`` line with nothing
+on stdout (argparse's own errors, malformed permutation strings, fewer
+than two distinct verify modes, a verify range and mode set that give no
+comparison, brute mode past the enumeration cap without ``--force``, and
+a negative sample seed).  141 (128 + SIGPIPE) when the reader of stdout
+closes it early, as ``head`` does; it wins over 1, whose ``FAIL:`` line
+is still written.  ``--help`` alone still ends in argparse, with exit 0.
 """
 
 from __future__ import annotations
@@ -69,6 +70,13 @@ def _emit(rows, fmt: str) -> None:
 
 class _UsageError(Exception):
     """A bad command line; ``main`` prints its message and exits 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors reach ``main`` as usage errors."""
+
+    def error(self, message):
+        raise _UsageError(message)
 
 
 def _mode_values(mode, n, n_max, sequences):
@@ -164,7 +172,7 @@ def cmd_table(args) -> None:
 def cmd_series_check(args) -> None:
     if args.order < 8:
         raise _UsageError("series checks need --order >= 8")
-    totals = recurrences.gluing_totals(args.order + 1)
+    totals = recurrences.gluing_totals(args.order)
     rows = [
         series.residual_summary(name, series.check_identity(name, args.order, totals))
         for name in series.IDENTITY_IDS
@@ -214,7 +222,7 @@ def cmd_render(args) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridperm",
         description="Exact degree statistics of permutation grid graphs over Av_n(213)",
     )
@@ -266,13 +274,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     # exact totals pass the interpreter's int->str digit limit (4,300
     # by default) near n = 7,200; lift it for this call
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         try:
+            args = _build_parser().parse_args(argv)
             args.handler(args)
             status = 0
         except _UsageError as exc:

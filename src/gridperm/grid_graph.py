@@ -121,15 +121,9 @@ def render_ascii(word: Sequence[int]) -> str:
         raise ValueError(f"render_ascii supports n <= {MAX_RENDER_COLUMNS}")
     lines = []
     for level in range(max(word, default=0), 0, -1):
-        dots = []
-        bars = []
-        for i, h in enumerate(word):
-            dots.append("o" if h >= level else " ")
-            bars.append("|" if h >= level else " ")
-            if i + 1 < n:
-                dots.append("---" if min(h, word[i + 1]) >= level else "   ")
-                bars.append("   ")
-        lines.append("".join(dots).rstrip())
-        if level > 1:
-            lines.append("".join(bars).rstrip())
-    return "\n".join(lines)
+        dots = "".join(
+            ("o" if h >= level else " ") + ("---" if min(h, right) >= level else "   ")
+            for h, right in zip(word, [*word[1:], 0])
+        ).rstrip()
+        lines += [dots, dots.replace("---", "   ").replace("o", "|")]
+    return "\n".join(lines[:-1])  # no bar row below level 1

@@ -2,9 +2,9 @@
 
 A :class:`TruncatedSeries` stores integer coefficients 0..order and
 keeps every operation exact; binary operations on mismatched orders
-truncate to the shorter one.  The residuals rely on that rule: each is
-built through order + 1 from one operand of order ``order`` (C' or the
-shifted Q4X numerator), so it has order ``order`` with no truncation.
+truncate to the shorter one.  The residuals rely on that rule: built
+through order + 1, each is cut to order ``order`` by an operand of that
+order (C', the shifted Q4X numerator or the totals through n = order).
 Every series the identities use has integer coefficients, so no
 rational arithmetic is needed.  On top of the arithmetic sit the
 algebraic elements used by the verification suite (the powers
@@ -227,7 +227,7 @@ def check_identity(name: str, order: int, totals: dict) -> TruncatedSeries:
     """Left-minus-right residual of the named identity through ``order``.
 
     ``totals`` is the dict of ``recurrences.gluing_totals(n_max)`` with
-    n_max >= order + 1; the identities read its H, P and Q4 sequences,
+    n_max >= order; the identities read its H, P and Q4 sequences,
     so a zero residual ties the recurrence route to the
     generating-function route.  Known names: HFE and Q4FE (the
     functional equations for the horizontal-edge and degree-4 totals),
@@ -238,8 +238,8 @@ def check_identity(name: str, order: int, totals: dict) -> TruncatedSeries:
         raise ValueError(f"unknown identity {name!r}; known: {', '.join(IDENTITY_IDS)}")
     if order < 8:
         raise ValueError(f"identity checks need order >= 8, got {order}")
-    if any(len(totals[stat]) < order + 2 for stat in ("H", "P", "Q4")):
-        raise ValueError(f"order {order} needs gluing totals through n = {order + 1}")
+    if any(len(totals[stat]) < order + 1 for stat in ("H", "P", "Q4")):
+        raise ValueError(f"order {order} needs gluing totals through n = {order}")
     return _IDENTITY_BUILDERS[name](order, totals)
 
 

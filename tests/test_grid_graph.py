@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import random
 
@@ -129,6 +131,17 @@ def test_render_line_structure():
 def test_render_refuses_oversized_words():
     with pytest.raises(ValueError):
         render_ascii(tuple(range(1, 42)))
+
+
+def test_render_drawings_of_small_permutations_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(7):
+        for word in itertools.permutations(range(1, n + 1)):
+            digest.update(render_ascii(word).encode() + b"\n\n")
+    # the drawings of all 873 permutations of length <= 6
+    assert digest.hexdigest() == (
+        "f2068912415d9bb8b99ed96bbb0dd182126d9c8d4028db49a44bf7cbb341578b"
+    )
 
 
 def test_histogram_json_schema(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -18,6 +19,7 @@ from gridperm import (
     proportions,
     sample_av213,
 )
+from gridperm.cli import main
 from gridperm.sampler import _lowest_point
 
 SEED = 1729
@@ -244,3 +246,21 @@ def test_mean_proportions_exact_pre_aggregation():
     # rational pre-aggregation keeps the shares summing to one
     report = empirical_report(4, 777, SEED)
     assert sum(report["mean_proportions"].values()) == pytest.approx(1.0, abs=1e-12)
+
+
+REPIN = "the seeded stream changed: if on purpose, bump sampler.GENERATOR_NAME and re-pin"
+
+
+def test_seeded_stream_and_sample_report_are_pinned(capsys):
+    rng = random.Random(SEED)
+    digest = hashlib.sha256()
+    for n, count in ((40, 100), (1000, 20)):
+        for _ in range(count):
+            digest.update((" ".join(map(str, sample_av213(n, rng))) + "\n").encode())
+    assert digest.hexdigest() == (
+        "6d01d082a9bb8923620a5dea3cc201bd3a8030d8a4233ca633387ea10852e14d"
+    ), REPIN
+    assert main(["sample", "--n", "200", "--count", "50", "--seed", "5"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "3c488f3203542ca51028991406b85b21a3a1a42650bb537055156675f15b098c"
+    ), REPIN

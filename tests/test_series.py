@@ -196,7 +196,7 @@ def test_block_count_series_match_their_sequences():
 
 @pytest.mark.parametrize("name", IDENTITY_IDS)
 def test_identity_residuals_vanish(name):
-    residual = check_identity(name, 32, gluing_totals(33))
+    residual = check_identity(name, 32, gluing_totals(32))
     assert residual.order == 32 and residual.is_zero()
     # longer sequences give the same residual
     assert check_identity(name, 32, gluing_totals(40)) == residual
@@ -233,8 +233,10 @@ def test_check_identity_validates_input():
         check_identity("nope", 32, totals)
     with pytest.raises(ValueError):
         check_identity("HX", 7, totals)
-    with pytest.raises(ValueError, match="n = 33"):
-        check_identity("HX", 32, gluing_totals(32))
+    with pytest.raises(ValueError, match="n = 32"):
+        check_identity("HX", 32, gluing_totals(31))
+    residual = check_identity("HX", 32, gluing_totals(32))
+    assert residual.order == 32 and residual.is_zero()
 
 
 def test_closed_numerator_constant_cancels():
