@@ -4,28 +4,42 @@ Every member of Av_n(213) is a left block of size i, the minimum, and a
 right block of size j = n - 1 - i; the left block holds the largest
 values.  Each total sums a per-split gluing increment over those
 splits: what each block keeps of its own statistic in every word, plus
-what the gluing adds.  The increments are kept literally as derived,
-the glue terms in one small function each, not algebraically
-simplified, so this route shares nothing with the closed-form module
-it is checked against.
+what the gluing adds.  What the blocks keep of a total S is the
+Catalan convolution 2 sum_i C_{n-1-i} S_i, the 2 x C S term of the
+functional equations (1 - 2 x C) S = ... that HFE and Q4FE check.
+
+What the gluing adds is stated once, as derived, in one small glue
+function per statistic, not algebraically simplified, so this route
+shares nothing with the closed-form module it is checked against.  A
+glue is linear in the counts of its split: ``words`` = C_i C_j,
+``left_d`` = C_j D_i and ``right_d`` = C_i D_j.  The pass sums each
+glue once per n, not split by split.  The edge splits, i < 3 or j < 3,
+go through the glue function literally.  On the interior splits each
+weight a glue puts on a count is a polynomial in i of degree at most 2.
+The pass reads its Newton form off the glue function at i = 3, 4, 5,
+checks it at j = 3, 4, raises RuntimeError where the two differ, and
+multiplies it by the count's moments over the interior.
 
 All five totals come from one pass over n, :func:`gluing_totals`, the
-module's only entry point.  What the blocks keep of a total S is the
-Catalan convolution 2 sum_i C_{n-1-i} S_i, the 2 x C S term of the
-functional equations (1 - 2 x C) S = ... that HFE and Q4FE check.  The
-pass counts its own Catalan numbers: C_n is the number of words over
-the splits of n, so the module imports no other route.
+module's only entry point.  The pass counts its own Catalan numbers:
+C_n is the number of words over the splits of n, so the module imports
+no other route.
 """
 
 from __future__ import annotations
 
-from operator import mul, sub
+from operator import mul
 
 STATISTICS = ("H", "Q4", "D", "J", "P")
+COUNTS = ("words", "left_d", "right_d")
+# splits with i < EDGE or j < EDGE are summed literally; so is every
+# split of an n with fewer than MIN_INTERIOR splits between them
+EDGE = 3
+MIN_INTERIOR = 4
 
 
-def _h_glue(i: int, j: int) -> int:
-    """Horizontal edges that gluing adds to each word of split (i, j).
+def _h_glue(i: int, j: int, words: int, left_d: int, right_d: int) -> int:
+    """Horizontal edges that gluing adds to the words of split (i, j).
 
     The left block, lifted by j + 1, gains (i-1)(j+1) edges between its
     own columns; the right block, lifted by 1, gains j - 1; and the
@@ -41,21 +55,21 @@ def _h_glue(i: int, j: int) -> int:
         glue += 1
     if j >= 1:
         glue += 1
-    return glue
+    return glue * words
 
 
-def _q4_shift(i: int, j: int) -> int:
-    """Degree-4 vertices that lifting adds to each word of split (i, j).
+def _q4_shift(i: int, j: int, words: int, left_d: int, right_d: int) -> int:
+    """Degree-4 vertices that lifting adds to the words of split (i, j).
 
     Lifting a block by t adds t degree-4 vertices per internal column of
     the block: the left block is lifted by j + 1 and the right block by
     1.  The column holding a block's own minimum gains one fewer when
-    that column is internal; the loop subtracts those through J.
+    that column is internal; the pass subtracts those through J.
     """
-    return (j + 1) * (i - 2 if i > 2 else 0) + (j - 2 if j > 2 else 0)
+    return ((j + 1) * (i - 2 if i > 2 else 0) + (j - 2 if j > 2 else 0)) * words
 
 
-def _descents(i: int, words: int, left_d: int) -> int:
+def _descents(i: int, j: int, words: int, left_d: int, right_d: int) -> int:
     """D increment of split (i, j): words whose first two entries descend.
 
     A left block of size 1 (its top value, then the minimum) forces a
@@ -67,12 +81,12 @@ def _descents(i: int, words: int, left_d: int) -> int:
     return left_d if i >= 2 else 0
 
 
-def _internal_min(i: int, j: int, words: int) -> int:
+def _internal_min(i: int, j: int, words: int, left_d: int, right_d: int) -> int:
     """J increment of split (i, j): the minimum is internal iff both blocks are nonempty."""
     return words if i >= 1 and j >= 1 else 0
 
 
-def _new_peaks(i: int, j: int, left_d: int, right_d: int) -> int:
+def _new_peaks(i: int, j: int, words: int, left_d: int, right_d: int) -> int:
     """Internal peaks that appear at the minimum in split (i, j).
 
     The last column of a left block (i >= 2) becomes a peak iff the
@@ -84,6 +98,67 @@ def _new_peaks(i: int, j: int, left_d: int, right_d: int) -> int:
     return (left_d if i >= 2 else 0) + (right_d if j >= 2 else 0)
 
 
+def _halve(value: int, what: str, n: int) -> int:
+    quotient, remainder = divmod(value, 2)
+    if remainder:
+        raise RuntimeError(f"{what} over the interior of n = {n} is odd before halving")
+    return quotient
+
+
+def _word_moments(n: int, half: list[int], words: int) -> tuple[int, int, int]:
+    """The sums of words x binom(k, r), r = 0, 1, 2, over the interior of n.
+
+    The interior splits are i = EDGE + k for k = 0 .. span, with
+    span = n - 1 - 2 EDGE; the mirror i <-> n - 1 - i takes k to
+    span - k and keeps the words.  ``words`` is the interior's total and
+    ``half`` holds the words of the splits i < ceil(n/2).
+    """
+    span = n - 1 - 2 * EDGE
+    by_k = _halve(span * words, "span x words", n)  # k + (span - k) = span
+    # words x k (span - k), also mirror-symmetric: twice the first half
+    # of the interior, then its middle split
+    by_kk = 2 * sum(
+        map(mul, half[EDGE : n // 2], map(mul, range(span + 1), range(span, -1, -1)))
+    )
+    if n % 2:
+        by_kk += half[-1] * (span // 2) ** 2
+    by_k2 = span * by_k - by_kk
+    return words, by_k, _halve(by_k2 - by_k, "words x k (k - 1)", n)
+
+
+def _interior_glue(name: str, glue, n: int, moments) -> int:
+    """``glue`` summed over the interior splits of n, EDGE <= i, j.
+
+    ``moments`` holds, for each of ``COUNTS``, the sums over the
+    interior of that count times binom(k, r), k = i - EDGE, for
+    r = 0, 1, ...  A count's weight is read off ``glue`` with that count
+    1 and the others 0, at k = 0, 1, 2, as the Newton form
+    (g_0, Delta, Delta^2) of a quadratic in k, and checked at
+    j = EDGE, EDGE + 1.  A weight off that quadratic, or one that needs
+    a moment the count lacks, raises RuntimeError.
+    """
+    total = 0
+    for count, unit, count_moments in zip(COUNTS, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), moments):
+        g0, g1, g2 = (glue(i, n - 1 - i, *unit) for i in range(EDGE, EDGE + 3))
+        newton = (g0, g1 - g0, g2 - 2 * g1 + g0)
+        for i in (n - 1 - EDGE, n - 2 - EDGE):
+            k = i - EDGE
+            expected = g0 + newton[1] * k + newton[2] * (k * (k - 1) // 2)
+            weight = glue(i, n - 1 - i, *unit)
+            if weight != expected:
+                raise RuntimeError(
+                    f"{name} glue weighs {count} by {weight} at split ({i}, {n - 1 - i}) "
+                    f"of n = {n}, not by {expected} as read at i = {EDGE}..{EDGE + 2}"
+                )
+        if any(newton[len(count_moments) :]):
+            raise RuntimeError(
+                f"{name} glue weighs {count} by a nonconstant on the interior of "
+                f"n = {n}, where the pass sums {count} only in total"
+            )
+        total += sum(map(mul, newton, count_moments))
+    return total
+
+
 def gluing_totals(n_max: int) -> dict[str, list[int]]:
     """The five gluing sequences for 0 <= n <= n_max, keyed by statistic.
 
@@ -91,37 +166,56 @@ def gluing_totals(n_max: int) -> dict[str, list[int]]:
     two entries descend; J: words whose minimum sits strictly inside;
     P: internal-column degree-1 vertices (internal peaks).
 
+    Each n sums every glue function over the edge splits literally and
+    over the interior splits as its Newton form, read off and checked
+    against the function itself, times the moments of the split's
+    counts: a glue that is not quadratic on the interior raises
+    RuntimeError.  A negative ``n_max`` raises ValueError.
+
     >>> totals = gluing_totals(5)
     >>> totals["H"], totals["Q4"]
     ([0, 0, 2, 14, 76, 374], [0, 0, 0, 0, 8, 77])
     >>> totals["D"], totals["J"], totals["P"]
     ([0, 0, 1, 2, 5, 14], [0, 0, 0, 1, 4, 14], [0, 0, 0, 2, 10, 42])
     """
+    if n_max < 0:
+        raise ValueError(f"n_max={n_max} is negative")
+    glues = (_h_glue, _q4_shift, _descents, _internal_min, _new_peaks)
     cat = [1]  # C_0 .. C_{n-1}; C_n is appended once the words of n are counted
-    h, q4, d, jm, p = ([0] * (n_max + 1) for _ in STATISTICS)
+    h, q4, d, jm, p, q4_less_j = ([0] * (n_max + 1) for _ in range(6))
     for n in range(1, n_max + 1):
-        # entry i of each list belongs to the split (i, j = n - 1 - i)
-        i_s, j_s = range(n), range(n - 1, -1, -1)
-        cj = cat[n - 1 :: -1]
+        cj = cat[n - 1 :: -1]  # entry i is C_j of the split (i, j = n - 1 - i)
         # C_i C_j is symmetric in the split: form the first ceil(n/2)
-        # products and mirror them
+        # products, the words of split i and of its mirror n - 1 - i
         half = list(map(mul, cat[: (n + 1) // 2], cj))
-        words = half + half[: n // 2][::-1]
-        cat.append(sum(words))
-        # C_j D_i; read backwards it is C_i D_j
-        left_d = list(map(mul, cj, d))
+        cat.append(2 * sum(half[: n // 2]) + (half[-1] if n % 2 else 0))
+        # sum_i C_j D_i, the total of left_d and, read backwards, of right_d
+        left_d = sum(map(mul, cj, d))
+        interior = n - 2 * EDGE >= MIN_INTERIOR
+        edges = (*range(EDGE), *range(n - EDGE, n)) if interior else range(n)
+        splits = [
+            (i, n - 1 - i, half[min(i, n - 1 - i)], cj[i] * d[i], cat[i] * d[n - 1 - i])
+            for i in edges
+        ]
+        glue = [sum(g(*split) for split in splits) for g in glues]
+        if interior:
+            # the interior is its own mirror, so left_d and right_d have
+            # one interior total
+            inner_d = left_d - sum(split[3] for split in splits)
+            moments = (
+                _word_moments(n, half, cat[n] - sum(split[2] for split in splits)),
+                (inner_d,),
+                (inner_d,),
+            )
+            for index, (name, g) in enumerate(zip(STATISTICS, glues)):
+                glue[index] += _interior_glue(name, g, n, moments)
         # every word keeps both blocks' own edges, degree-4 vertices
         # (less one at an internal block minimum) and peaks: summed
         # over all splits, sum_i (C_j S_i + C_i S_j) = 2 sum_i C_j S_i
-        h[n] = 2 * sum(map(mul, cj, h)) + sum(
-            map(mul, words, map(_h_glue, i_s, j_s))
-        )
-        q4[n] = 2 * sum(map(mul, cj, map(sub, q4, jm))) + sum(
-            map(mul, words, map(_q4_shift, i_s, j_s))
-        )
-        d[n] = sum(map(_descents, i_s, words, left_d))
-        jm[n] = sum(map(_internal_min, i_s, j_s, words))
-        p[n] = 2 * sum(map(mul, cj, p)) + sum(
-            map(_new_peaks, i_s, j_s, left_d, reversed(left_d))
-        )
+        h[n] = 2 * sum(map(mul, cj, h)) + glue[0]
+        q4[n] = 2 * sum(map(mul, cj, q4_less_j)) + glue[1]
+        d[n] = glue[2]
+        jm[n] = glue[3]
+        p[n] = 2 * sum(map(mul, cj, p)) + glue[4]
+        q4_less_j[n] = q4[n] - jm[n]
     return dict(zip(STATISTICS, (h, q4, d, jm, p)))

@@ -11,10 +11,11 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul, sub
 
 import pytest
 
-from gridperm import aggregate_brute, series
+from gridperm import aggregate_brute, recurrences, series
 from gridperm.permutations import check_permutation
 
 FILTER_CAP = 8
@@ -185,6 +186,41 @@ def catalan_by_convolution(n_max):
     for n in range(1, n_max + 1):
         cat.append(sum(cat[i] * cat[n - 1 - i] for i in range(n)))
     return cat
+
+
+def literal_gluing_totals(n_max):
+    """The gluing pass summed split by split: every glue function at every split.
+
+    The oracle for ``recurrences.gluing_totals``, which sums each glue
+    once per n from its Newton form on the interior splits.  It reads
+    the glue functions from ``recurrences`` at call time, so it shares
+    them and only the summation differs.
+    """
+    cat = [1]  # C_0 .. C_{n-1}; C_n is appended once the words of n are counted
+    h, q4, d, jm, p = ([0] * (n_max + 1) for _ in recurrences.STATISTICS)
+    for n in range(1, n_max + 1):
+        # entry i of each list belongs to the split (i, j = n - 1 - i)
+        i_s, j_s = range(n), range(n - 1, -1, -1)
+        cj = cat[n - 1 :: -1]
+        # C_i C_j is symmetric in the split: form the first ceil(n/2)
+        # products and mirror them
+        half = list(map(mul, cat[: (n + 1) // 2], cj))
+        words = half + half[: n // 2][::-1]
+        cat.append(sum(words))
+        # C_j D_i; read backwards it is C_i D_j
+        left_d = list(map(mul, cj, d))
+        counts = (i_s, j_s, words, left_d, left_d[::-1])
+        # every word keeps both blocks' own edges, degree-4 vertices
+        # (less one at an internal block minimum) and peaks: summed
+        # over all splits, sum_i (C_j S_i + C_i S_j) = 2 sum_i C_j S_i
+        h[n] = 2 * sum(map(mul, cj, h)) + sum(map(recurrences._h_glue, *counts))
+        q4[n] = 2 * sum(map(mul, cj, map(sub, q4, jm))) + sum(
+            map(recurrences._q4_shift, *counts)
+        )
+        d[n] = sum(map(recurrences._descents, *counts))
+        jm[n] = sum(map(recurrences._internal_min, *counts))
+        p[n] = 2 * sum(map(mul, cj, p)) + sum(map(recurrences._new_peaks, *counts))
+    return dict(zip(recurrences.STATISTICS, (h, q4, d, jm, p)))
 
 
 @lru_cache(maxsize=None)
