@@ -21,16 +21,28 @@ checks it at j = 3, 4, raises RuntimeError where the two differ, and
 multiplies it by the count's moments over the interior.
 
 All five totals come from one pass over n, :func:`gluing_totals`, the
-module's only entry point.  The pass counts its own Catalan numbers:
-C_n is the number of words over the splits of n, so the module imports
-no other route.
+module's only entry point.  The pass runs as two chains that share
+nothing but the Catalan numbers: the glues of H, Q4 and J read only the
+words of a split, and D and P need the words and D.  Each chain counts
+its own Catalan numbers, C_n being the number of words over the splits
+of n, so the module imports no other route.  Where ``os.fork`` exists,
+the D, P chain runs in a forked child while the caller runs the other,
+so the pass takes two CPUs, and the child sends its sequences back down
+a pipe with ``marshal``.  The caller's own peak RSS (RUSAGE_SELF, which
+the benchmark's ``peak_rss_mb`` reads) does not count the child's.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import sys
 from operator import mul
 
 STATISTICS = ("H", "Q4", "D", "J", "P")
+# the pass's two chains; Q4's blocks keep their totals less J, so Q4
+# and J share one
+CHAINS = (("H", "Q4", "J"), ("D", "P"))
 COUNTS = ("words", "left_d", "right_d")
 # splits with i < EDGE or j < EDGE are summed literally; so is every
 # split of an n with fewer than MIN_INTERIOR splits between them
@@ -135,7 +147,8 @@ def _interior_glue(name: str, glue, n: int, moments) -> int:
     1 and the others 0, at k = 0, 1, 2, as the Newton form
     (g_0, Delta, Delta^2) of a quadratic in k, and checked at
     j = EDGE, EDGE + 1.  A weight off that quadratic, or one that needs
-    a moment the count lacks, raises RuntimeError.
+    a moment the count lacks, raises RuntimeError; a count with no
+    moments is one the chain does not count, and must weigh 0.
     """
     total = 0
     for count, unit, count_moments in zip(COUNTS, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), moments):
@@ -154,9 +167,109 @@ def _interior_glue(name: str, glue, n: int, moments) -> int:
             raise RuntimeError(
                 f"{name} glue weighs {count} by a nonconstant on the interior of "
                 f"n = {n}, where the pass sums {count} only in total"
+                if count_moments
+                else f"{name} glue weighs {count} on the interior of n = {n}, "
+                "which its chain does not count"
             )
         total += sum(map(mul, newton, count_moments))
     return total
+
+
+def _chain(n_max: int, statistics: tuple[str, ...]):
+    """One chain of the pass: the sequences of ``statistics``, 0 <= n <= n_max.
+
+    A chain counts C_j D_i and C_i D_j only if it holds D; a chain
+    without D checks that its glues weigh neither, at each edge split
+    and through the Newton read on the interior.
+
+    Returns (sequences, None), or (None, (n, rank, message)) for the
+    chain's first failed check.  rank is -1 for the words' halving
+    checks, which every chain makes, and otherwise the statistic's
+    place in ``STATISTICS``, so the least failure of the two chains is
+    the one a single pass over all five would meet first.
+    """
+    glues = dict(zip(STATISTICS, (_h_glue, _q4_shift, _descents, _internal_min, _new_peaks)))
+    counts_d = "D" in statistics
+    cat = [1]  # C_0 .. C_{n-1}; C_n is appended once the words of n are counted
+    sequences = {name: [0] * (n_max + 1) for name in STATISTICS}
+    d = sequences["D"]
+    # every word keeps both blocks' own edges, degree-4 vertices (less
+    # one at an internal block minimum) and peaks: summed over all
+    # splits, sum_i (C_j S_i + C_i S_j) = 2 sum_i C_j S_i
+    kept = {"H": sequences["H"], "Q4": [0] * (n_max + 1), "P": sequences["P"]}
+    try:
+        for n in range(1, n_max + 1):
+            rank = -1
+            cj = cat[n - 1 :: -1]  # entry i is C_j of the split (i, j = n - 1 - i)
+            # C_i C_j is symmetric in the split: form the first ceil(n/2)
+            # products, the words of split i and of its mirror n - 1 - i
+            half = list(map(mul, cat[: (n + 1) // 2], cj))
+            cat.append(2 * sum(half[: n // 2]) + (half[-1] if n % 2 else 0))
+            interior = n - 2 * EDGE >= MIN_INTERIOR
+            edges = (*range(EDGE), *range(n - EDGE, n)) if interior else range(n)
+            splits = [
+                (i, n - 1 - i, half[min(i, n - 1 - i)], cj[i] * d[i], cat[i] * d[n - 1 - i])
+                for i in edges
+            ]
+            if interior:
+                words = _word_moments(n, half, cat[n] - sum(split[2] for split in splits))
+                # sum_i C_j D_i is the total of left_d and, read backwards,
+                # of right_d; the interior is its own mirror, so the two
+                # have one interior total
+                inner_d = ()
+                if counts_d:
+                    inner_d = (sum(map(mul, cj, d)) - sum(split[3] for split in splits),)
+                moments = (words, inner_d, inner_d)
+            for name in statistics:
+                rank, glue = STATISTICS.index(name), glues[name]
+                if not counts_d:
+                    for i, j, *_ in splits:
+                        if glue(i, j, 0, 1, 0) or glue(i, j, 0, 0, 1):
+                            raise RuntimeError(
+                                f"{name} glue weighs left_d or right_d at split ({i}, {j}) "
+                                f"of n = {n}, which its chain does not count"
+                            )
+                total = sum(glue(*split) for split in splits)
+                if interior:
+                    total += _interior_glue(name, glue, n, moments)
+                if name in kept:
+                    total += 2 * sum(map(mul, cj, kept[name]))
+                sequences[name][n] = total
+            kept["Q4"][n] = sequences["Q4"][n] - sequences["J"][n]
+    except RuntimeError as error:
+        return None, (n, rank, str(error))
+    return {name: sequences[name] for name in statistics}, None
+
+
+def _start_chain(n_max: int, statistics: tuple[str, ...]) -> tuple[int, int]:
+    """Forks a child that runs ``_chain(n_max, statistics)``.
+
+    Returns the child's pid and the read end of the pipe down which it
+    sends the chain's result with ``marshal``.  The child leaves by
+    ``os._exit``, with status 0 once the result is sent: it runs no exit
+    handler and flushes none of the stdio buffers it inherited, so text
+    the caller had not yet written is written once, by the caller.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    status = 1
+    try:
+        os.close(read_end)
+        with open(write_end, "wb") as pipe:
+            marshal.dump(_chain(n_max, statistics), pipe)
+        status = 0
+    except Exception:
+        sys.excepthook(*sys.exc_info())  # the parent reports only the exit status
+    finally:
+        os._exit(status)
 
 
 def gluing_totals(n_max: int) -> dict[str, list[int]]:
@@ -172,6 +285,16 @@ def gluing_totals(n_max: int) -> dict[str, list[int]]:
     counts: a glue that is not quadratic on the interior raises
     RuntimeError.  A negative ``n_max`` raises ValueError.
 
+    The pass runs as the two ``CHAINS``: H, Q4 and J in this process and,
+    where ``os.fork`` exists, D and P in a forked child at the same
+    time, else after the first.  Of two failed checks it raises the one
+    a single pass over all five would meet first: the smallest n, then
+    ``STATISTICS`` order.  A child that ends without sending its
+    sequences, say by a signal, raises RuntimeError naming how it
+    ended.  The child is reaped before this returns or raises, and
+    killed first if this process is leaving early; this process's peak
+    RSS does not count the child's.
+
     >>> totals = gluing_totals(5)
     >>> totals["H"], totals["Q4"]
     ([0, 0, 2, 14, 76, 374], [0, 0, 0, 0, 8, 77])
@@ -180,42 +303,34 @@ def gluing_totals(n_max: int) -> dict[str, list[int]]:
     """
     if n_max < 0:
         raise ValueError(f"n_max={n_max} is negative")
-    glues = (_h_glue, _q4_shift, _descents, _internal_min, _new_peaks)
-    cat = [1]  # C_0 .. C_{n-1}; C_n is appended once the words of n are counted
-    h, q4, d, jm, p, q4_less_j = ([0] * (n_max + 1) for _ in range(6))
-    for n in range(1, n_max + 1):
-        cj = cat[n - 1 :: -1]  # entry i is C_j of the split (i, j = n - 1 - i)
-        # C_i C_j is symmetric in the split: form the first ceil(n/2)
-        # products, the words of split i and of its mirror n - 1 - i
-        half = list(map(mul, cat[: (n + 1) // 2], cj))
-        cat.append(2 * sum(half[: n // 2]) + (half[-1] if n % 2 else 0))
-        # sum_i C_j D_i, the total of left_d and, read backwards, of right_d
-        left_d = sum(map(mul, cj, d))
-        interior = n - 2 * EDGE >= MIN_INTERIOR
-        edges = (*range(EDGE), *range(n - EDGE, n)) if interior else range(n)
-        splits = [
-            (i, n - 1 - i, half[min(i, n - 1 - i)], cj[i] * d[i], cat[i] * d[n - 1 - i])
-            for i in edges
-        ]
-        glue = [sum(g(*split) for split in splits) for g in glues]
-        if interior:
-            # the interior is its own mirror, so left_d and right_d have
-            # one interior total
-            inner_d = left_d - sum(split[3] for split in splits)
-            moments = (
-                _word_moments(n, half, cat[n] - sum(split[2] for split in splits)),
-                (inner_d,),
-                (inner_d,),
+    first, second = CHAINS
+    if hasattr(os, "fork"):
+        pid, read_end = _start_chain(n_max, second)
+        with open(read_end, "rb") as pipe:
+            try:
+                results = [_chain(n_max, first)]
+                sent = pipe.read()
+            except BaseException:
+                # the child may be blocked on a full pipe that no one will
+                # read; signal is imported only here, as the CLI's start-up
+                # need not load it
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise RuntimeError(
+                f"the child process counting {' and '.join(second)} {how} "
+                "before it sent its sequences"
             )
-            for index, (name, g) in enumerate(zip(STATISTICS, glues)):
-                glue[index] += _interior_glue(name, g, n, moments)
-        # every word keeps both blocks' own edges, degree-4 vertices
-        # (less one at an internal block minimum) and peaks: summed
-        # over all splits, sum_i (C_j S_i + C_i S_j) = 2 sum_i C_j S_i
-        h[n] = 2 * sum(map(mul, cj, h)) + glue[0]
-        q4[n] = 2 * sum(map(mul, cj, q4_less_j)) + glue[1]
-        d[n] = glue[2]
-        jm[n] = glue[3]
-        p[n] = 2 * sum(map(mul, cj, p)) + glue[4]
-        q4_less_j[n] = q4[n] - jm[n]
-    return dict(zip(STATISTICS, (h, q4, d, jm, p)))
+        results.append(marshal.loads(sent))
+    else:
+        results = [_chain(n_max, chain) for chain in CHAINS]
+    failures = [failure for _, failure in results if failure]
+    if failures:
+        raise RuntimeError(min(failures)[2])
+    totals = {**results[0][0], **results[1][0]}
+    return {name: totals[name] for name in STATISTICS}

@@ -520,24 +520,39 @@ def test_python_dash_m_gridperm_runs_the_cli():
 # loaded by ``dataclasses`` and not by a bare interpreter; each run of the
 # CLI would pay for them
 INTROSPECTION_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# the gluing pass forks once with os and marshal, which the interpreter
+# loads anyway; a process pool and its pickling would add to every start-up
+PROCESS_POOL_MODULES = ("multiprocessing", "concurrent.futures", "pickle", "subprocess")
 
 
-def test_importing_the_cli_loads_no_introspection_modules():
+def _loaded_by_importing_the_cli(modules):
+    """Those of ``modules`` that a fresh ``import gridperm.cli`` loads."""
     src = Path(cli.__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(src)
     script = (
         "import json, sys, gridperm.cli; print(json.dumps("
-        f"[m for m in {INTROSPECTION_MODULES!r} + ('gridperm.series',)"
-        " if m in sys.modules]))"
+        f"[m for m in {tuple(modules)!r} if m in sys.modules]))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_importing_the_cli_loads_no_introspection_modules():
     # gridperm.series is loaded, so the import really reached the series code
-    assert json.loads(proc.stdout) == ["gridperm.series"]
+    loaded = _loaded_by_importing_the_cli([*INTROSPECTION_MODULES, "gridperm.series"])
+    assert loaded == ["gridperm.series"]
+
+
+def test_importing_the_cli_loads_no_process_pool_modules():
+    loaded = _loaded_by_importing_the_cli(
+        [*PROCESS_POOL_MODULES, "gridperm.recurrences", "os", "marshal"]
+    )
+    assert loaded == ["gridperm.recurrences", "os", "marshal"]
 
 
 def test_degrees_parse_error(capsys):

@@ -1,6 +1,13 @@
 from __future__ import annotations
 
+import math
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -100,12 +107,15 @@ def test_matches_the_literal_pass(m):
     assert gluing_totals(m) == literal_gluing_totals(m)
 
 
-def _cubic_on_the_interior(glue):
-    def faulty(i, j, words, left_d, right_d):
-        bump = i**3 * words if i >= 3 and j >= 3 else 0
-        return glue(i, j, words, left_d, right_d) + bump
+def _cubic_from(n_from):
+    def fault(glue):
+        def faulty(i, j, words, left_d, right_d):
+            bump = i**3 * words if i >= 3 and j >= 3 and i + j + 1 >= n_from else 0
+            return glue(i, j, words, left_d, right_d) + bump
 
-    return faulty
+        return faulty
+
+    return fault
 
 
 def _off_by_one_at(j_off):
@@ -125,14 +135,31 @@ def _linear_in_left_d(glue):
     return faulty
 
 
-# each fault is found at n = 10, the first n with an interior, whose
-# splits are i = 3..6: off the quadratic read at i = 3, 4, 5 (with the
-# fault at j = 4, the read itself is off), or of degree 1 in a count
-# that the pass sums only in total
+def _weighs_d_counts(glue):
+    def faulty(i, j, words, left_d, right_d):
+        return glue(i, j, words, left_d, right_d) + left_d
+
+    return faulty
+
+
+def _weighs_right_d_inside(glue):
+    def faulty(i, j, words, left_d, right_d):
+        inside = min(i, j) >= 3 and i + j >= 9
+        return glue(i, j, words, left_d, right_d) + (right_d if inside else 0)
+
+    return faulty
+
+
+# the first four faults are found at n = 10, the first n with an
+# interior, whose splits are i = 3..6: off the quadratic read at
+# i = 3, 4, 5 (with the fault at j = 4, the read itself is off), or of
+# degree 1 in a count that the pass sums only in total.  The last two
+# give H, whose chain does not count D, a weight on left_d or right_d:
+# at an edge split of n = 1, or on the interior of n = 10.
 FAULTS = {
     "H cubic": (
         "_h_glue",
-        _cubic_on_the_interior,
+        _cubic_from(10),
         r"^H glue weighs words by 240 at split \(6, 3\) of n = 10, not by 234 ",
     ),
     "P at j = 3": (
@@ -150,6 +177,16 @@ FAULTS = {
         _linear_in_left_d,
         r"^D glue weighs left_d by a nonconstant on the interior of n = 10,",
     ),
+    "H weighs left_d": (
+        "_h_glue",
+        _weighs_d_counts,
+        r"^H glue weighs left_d or right_d at split \(0, 0\) of n = 1, which its chain ",
+    ),
+    "H weighs right_d inside": (
+        "_h_glue",
+        _weighs_right_d_inside,
+        r"^H glue weighs right_d on the interior of n = 10, which its chain does not count$",
+    ),
 }
 
 
@@ -166,3 +203,125 @@ def test_a_glue_off_its_interior_form_is_refused(fault, monkeypatch, capsys):
     line = err.removesuffix("\n")
     assert line.startswith("FAIL: ") and "\n" not in line
     assert re.match(message, line.removeprefix("FAIL: "))
+
+
+@pytest.fixture(params=["fork", "no fork"])
+def fork(request, monkeypatch):
+    """Runs a test with the D, P chain in a forked child, and without os.fork."""
+    if request.param == "no fork":
+        monkeypatch.delattr(os, "fork")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_every_fault_is_refused_alike_without_fork(fault, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    name, make_faulty, message = FAULTS[fault]
+    monkeypatch.setattr(recurrences, name, make_faulty(getattr(recurrences, name)))
+    with pytest.raises(RuntimeError, match=message):
+        gluing_totals(40)
+
+
+def test_matches_the_literal_pass_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert gluing_totals(150) == literal_gluing_totals(150)
+
+
+# two faults, one in each chain: the pass reports the one that a single
+# pass over all five statistics meets first, at the smallest n and then
+# in STATISTICS order
+TWO_FAULTS = {
+    "child's at a smaller n": (("_h_glue", 14), ("_descents", 12), "D", 12),
+    "parent's at a smaller n": (("_internal_min", 11), ("_descents", 13), "J", 11),
+    "child's at a smaller n, later in order": (("_h_glue", 13), ("_new_peaks", 11), "P", 11),
+    "same n, D before J": (("_internal_min", 12), ("_descents", 12), "D", 12),
+    "same n, J before P": (("_internal_min", 12), ("_new_peaks", 12), "J", 12),
+    "same n, Q4 before D": (("_q4_shift", 12), ("_descents", 12), "Q4", 12),
+}
+
+
+@pytest.mark.parametrize("case", TWO_FAULTS)
+def test_the_first_fault_of_the_two_chains_is_reported(case, fork, monkeypatch):
+    *faults, statistic, n = TWO_FAULTS[case]
+    for name, n_from in faults:
+        monkeypatch.setattr(recurrences, name, _cubic_from(n_from)(getattr(recurrences, name)))
+    message = rf"^{statistic} glue weighs words by \d+ at split \(\d+, 3\) of n = {n}, "
+    with pytest.raises(RuntimeError, match=message):
+        gluing_totals(60)
+    _assert_no_child_left()
+
+
+def _dying_in_the_child(how):
+    parent = os.getpid()
+
+    def fault(glue):
+        def faulty(*split):
+            if os.getpid() != parent:
+                if how == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ZeroDivisionError("a glue that cannot count")
+            return glue(*split)
+
+        return faulty
+
+    return fault
+
+
+@pytest.mark.parametrize(
+    "how, ending",
+    [("killed", "was killed by signal 9"), ("raising", "exited with status 1")],
+)
+def test_a_child_that_dies_fails_the_pass(how, ending, monkeypatch, capsys):
+    monkeypatch.setattr(recurrences, "_descents", _dying_in_the_child(how)(recurrences._descents))
+    message = f"the child process counting D and P {ending} before it sent its sequences"
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        gluing_totals(40)
+    _assert_no_child_left()
+    code = cli.main(["verify", "--n-max", "40", "--modes", "recurrence,closed"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"FAIL: {message}\n")
+    _assert_no_child_left()
+
+
+def test_the_pass_leaves_no_child_process():
+    # at n = 500 the child's D and P outgrow the 64 KB a pipe buffers
+    totals = gluing_totals(500)
+    _assert_no_child_left()
+    for n in range(2, 501):
+        below = math.comb(2 * n - 2, n - 1) // n
+        assert (totals["D"][n], totals["P"][n]) == (below, (n - 2) * below)
+
+
+def test_an_error_in_the_parents_chain_kills_the_child(monkeypatch):
+    h_glue = recurrences._h_glue
+
+    def interrupted(i, j, *counts):
+        if i + j + 1 == 200:
+            raise KeyboardInterrupt
+        return h_glue(i, j, *counts)
+
+    monkeypatch.setattr(recurrences, "_h_glue", interrupted)
+    # the child's chain takes seconds to reach n = 2000 unless it is killed
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        gluing_totals(2000)
+    _assert_no_child_left()
+    assert time.perf_counter() - start < 4
+
+
+def test_unflushed_stdout_is_written_once():
+    # stdout into a pipe is block-buffered unless PYTHONUNBUFFERED is set
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(recurrences.__file__).resolve().parents[1])
+    script = (
+        "import sys; from gridperm import gluing_totals; sys.stdout.write('before'); "
+        "gluing_totals(30); sys.stdout.write(' after')"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "before after", "")
