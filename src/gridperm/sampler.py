@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import random
-from operator import add, mul
 
 from .grid_graph import degree_histogram
 
@@ -144,15 +143,25 @@ def empirical_report(n: int, sample_count: int, seed: int) -> dict:
         raise ValueError("seed must be nonnegative: random.Random(-s) seeds like Random(s)")
     rng = random.Random(seed)
     total_vertices = n * (n + 1) // 2
-    sums = [0] * 5
-    sums_sq = [0] * 5
+    s0 = s1 = s2 = s3 = s4 = 0
+    sq0 = sq1 = sq2 = sq3 = sq4 = 0
     h_sum = 0
     for _ in range(sample_count):
         word = sample_av213(n, rng)
-        counts, h = degree_histogram(word)
-        sums = list(map(add, sums, counts))
-        sums_sq = list(map(add, sums_sq, map(mul, counts, counts)))
+        (c0, c1, c2, c3, c4), h = degree_histogram(word)
+        s0 += c0
+        s1 += c1
+        s2 += c2
+        s3 += c3
+        s4 += c4
+        sq0 += c0 * c0
+        sq1 += c1 * c1
+        sq2 += c2 * c2
+        sq3 += c3 * c3
+        sq4 += c4 * c4
         h_sum += h
+    sums = (s0, s1, s2, s3, s4)
+    sums_sq = (sq0, sq1, sq2, sq3, sq4)
     means = {}
     errors = {}
     for r in range(5):

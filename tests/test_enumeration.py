@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import copy
+import hashlib
+import importlib.util
+import itertools
+import tracemalloc
+from collections import deque
 from functools import lru_cache
 
 import pytest
@@ -15,6 +21,7 @@ from conftest import (
     pascal_binomial,
     reverse,
 )
+import gridperm.enumeration
 from gridperm import (
     aggregate_brute,
     aggregate_stats,
@@ -97,6 +104,63 @@ def composed_stream(n):
 @pytest.mark.parametrize("n", range(11))
 def test_enumeration_order_matches_composed_reference(n):
     assert list(enumerate_av213(n)) == list(composed_stream(n))
+
+
+def test_enumeration_order_is_pinned_at_n_12():
+    # sha256 of the words as bytes, one byte per value, in stream order
+    stream = b"".join(map(bytes, enumerate_av213(12)))
+    assert len(stream) == 12 * CATALAN[12]
+    assert hashlib.sha256(stream).hexdigest() == (
+        "804e01f89942aa482604c1750e9106554530fc6b870cd8a221851f56906cd89c"
+    )
+
+
+def test_streams_read_in_lockstep_are_independent():
+    reference = list(composed_stream(9))
+    first, second = zip(*zip(enumerate_av213(9), enumerate_av213(9)))
+    assert list(first) == reference
+    assert list(second) == reference
+
+
+def test_a_dropped_stream_leaves_the_next_one_whole():
+    reference = list(composed_stream(9))
+    dropped = enumerate_av213(9)
+    assert list(itertools.islice(dropped, len(reference) // 2)) == reference[: len(reference) // 2]
+    del dropped
+    assert list(enumerate_av213(9)) == reference
+
+
+def test_a_stream_leaves_the_module_unchanged():
+    # a fresh copy of the module, whose names no earlier stream has touched
+    spec = importlib.util.spec_from_file_location(
+        "gridperm._fresh_enumeration", gridperm.enumeration.__file__
+    )
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    module = vars(fresh)
+    before = dict(module)
+    containers = {
+        name: copy.copy(value)
+        for name, value in module.items()
+        if isinstance(value, (dict, list, set)) and not name.startswith("__")
+    }
+    deque(fresh.enumerate_av213(10), maxlen=0)
+    assert module == before
+    assert {name: module[name] for name in containers} == containers
+
+
+def test_stream_memory_is_bounded_by_its_short_blocks():
+    # At n = 13 the stream keeps 4,057 words of short blocks (at most 7
+    # values each, so at most 96 bytes on a 64-bit build) plus one tuple
+    # per block and their dict: under 128 bytes per kept word.  Caching
+    # blocks of 8 values instead keeps 11,207 words and peaks near 1.2 MB.
+    tracemalloc.start()
+    try:
+        deque(enumerate_av213(13), maxlen=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_057 * 128
 
 
 @pytest.mark.parametrize("n", range(11))
