@@ -4,10 +4,12 @@ The graph of a word ``p`` has a column of height ``p[i-1]`` over slot
 ``i``, vertical edges between consecutive levels inside a column, and
 horizontal edges between equal levels of adjacent columns.  Adjacency is
 never materialized: every statistic is read off the height profile.
-There is one degree histogram, :func:`degree_histogram`.  Per column it
-does only the comparisons and sums that depend on the heights; what
-depends only on the column position, the number of height-1 columns and
-the total height is added once after the loop.
+There is one degree histogram, :func:`degree_histogram`.  It slides a
+window of three heights, a column and its two neighbors, along the word
+and does per column only the comparisons and sums that depend on the
+heights; the last column, whose right neighbor is empty, is finished
+after the loop.  What depends only on the column position, the number
+of height-1 columns and the total height is added once after that.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ def degree_histogram(word: Sequence[int]) -> tuple[list[int], int]:
     """(counts, H): vertices of degree 0..4, and horizontal edges.
 
     The vertex at level s of a column of height b, between neighbor
-    heights a and c (0 past an end), has degree
-    (s > 1) + (s < b) + (s <= a) + (s <= c).  With lo = min(a, c) and
-    hi = max(a, c), a column of height b >= 2 is one of three cases:
+    heights a and c (0 left of the first column and right of the last),
+    has degree (s > 1) + (s < b) + (s <= a) + (s <= c).  With
+    lo = min(a, c) and hi = max(a, c), a column of height b >= 2 is one
+    of three cases:
 
     - valley, b <= lo: the top ties both sides (degree 3), and so does
       every middle level 2..b-1 (degree 4);
@@ -35,14 +38,18 @@ def degree_histogram(word: Sequence[int]) -> tuple[list[int], int]:
 
     The loop does only this data-dependent work: per column it adds
     min(b, c) to H and min(a, b, c) to ``both``, counts valleys and
-    peaks, and adds b - hi of each peak to ``free``.  Everything that
-    depends only on the column position, ``word.count(1)`` and
-    ``sum(word)`` is added once after the loop: the bottom vertex of
-    each column of height >= 2 (degree 1 + its neighbors), the single
-    vertex of each height-1 column (degree = its neighbors), the sum of
-    b - 2 middle levels over the columns, and the per-column offsets of
-    ``both`` and ``free``.  Q2 and Q3 are counted from these pieces,
-    not derived from the degree sum.
+    peaks, and adds b - hi of each peak to ``free``.  It slides the
+    window over ``word[1:]``, c stepping through the right neighbors and
+    a, b = b, c moving it on, so it visits every column but the last.
+    The last column has c = 0: it adds nothing to H or ``both``, and it
+    is a peak iff b > a, with b - a levels above its neighbor.
+    Everything that depends only on the column position,
+    ``word.count(1)`` and ``sum(word)`` is added once after that: the
+    bottom vertex of each column of height >= 2 (degree 1 + its
+    neighbors), the single vertex of each height-1 column (degree = its
+    neighbors), the sum of b - 2 middle levels over the columns, and the
+    per-column offsets of ``both`` and ``free``.  Q2 and Q3 are counted
+    from these pieces, not derived from the degree sum.
 
     >>> degree_histogram((4, 1, 3, 2))
     ([0, 2, 6, 2, 0], 4)
@@ -55,11 +62,12 @@ def degree_histogram(word: Sequence[int]) -> tuple[list[int], int]:
         # a lone column: degree-1 bottom and top, untied middle levels
         return ([1, 0, 0, 0, 0] if b == 1 else [0, 2, b - 2, 0, 0]), 0
     h = both = free = valleys = peaks = 0
-    padded = (0, *word, 0)
-    # A height-1 column also passes through the loop: inside the word it
-    # counts as a valley, at an end as one side; the corrections below
-    # take it out again.
-    for a, b, c in zip(padded, word, padded[2:]):
+    # A height-1 column passes through the window like any other:
+    # inside the word it counts as a valley, first in the word (a = 0)
+    # as one side, and last (after the loop) as one side too; the
+    # corrections below take it out again.
+    a, b = 0, word[0]
+    for c in word[1:]:
         if b <= c:
             h += b
             if b <= a:
@@ -79,6 +87,11 @@ def degree_histogram(word: Sequence[int]) -> tuple[list[int], int]:
                 else:
                     both += c
                     free += b - a
+        a, b = b, c
+    # the last column, c = 0
+    if b > a:
+        peaks += 1
+        free += b - a
     ones = word.count(1)
     end_ones = (word[0] == 1) + (word[-1] == 1)
     inner_ones = ones - end_ones

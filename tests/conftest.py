@@ -133,6 +133,23 @@ def adjacency_histogram(word):
     return counts, horizontal
 
 
+def deg1_external_count(word):
+    """Degree-1 vertices of the end columns of a word with positive heights.
+
+    Read off the adjacency definition: at an end of a word of n >= 2
+    columns, a height-1 column's one vertex ties only its neighbor, and
+    a taller column's bottom has degree 2, so only its top can have
+    degree 1, when it is above its neighbor.  They number
+    [w_0 = 1] + [w_0 > w_1] + [w_{n-1} = 1] + [w_{n-2} < w_{n-1}].  A
+    lone column has a degree-1 bottom and top if it is taller than 1,
+    and none otherwise.
+    """
+    n = len(word)
+    if n < 2:
+        return 2 * (n == 1 and word[0] >= 2)
+    return (word[0] == 1) + (word[0] > word[1]) + (word[-1] == 1) + (word[-2] < word[-1])
+
+
 def placement_steps(n, placement):
     """The 2n+1 steps, +1 at each position of ``placement`` and -1 elsewhere."""
     steps = [-1] * (2 * n + 1)

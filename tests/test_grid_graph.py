@@ -85,6 +85,15 @@ def test_histogram_agrees_on_short_and_flat_words(word):
     assert_matches_oracle(word)
 
 
+def test_histogram_agrees_on_every_short_general_word():
+    # all 5,461 words of heights 1..4 and length 0..6: ties, plateaus and
+    # height-1 columns in every position, the last column included, which
+    # the histogram finishes after its loop
+    for n in range(7):
+        for word in itertools.product(range(1, 5), repeat=n):
+            assert_matches_oracle(word)
+
+
 @pytest.mark.parametrize("n", [40, 200])
 def test_histogram_agrees_on_long_sampled_words(n):
     rng = random.Random(n)
