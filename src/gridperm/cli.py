@@ -22,12 +22,17 @@ comparison, brute mode past the enumeration cap without ``--force``, and
 a negative sample seed).  141 (128 + SIGPIPE) when the reader of stdout
 closes it early, as ``head`` does; it wins over 1, whose ``FAIL:`` line
 is still written.  ``--help`` alone still ends in argparse, with exit 0.
+
+``csv`` is imported in the CSV branch of ``_emit``, where a row is
+first written, not at module level: ``degrees`` and ``render`` never
+write CSV, and importing this module stays cheap for them.  ``json``,
+``re`` (through ``permutations``) and ``argparse`` stay at the top,
+because those two calls use them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import os
@@ -61,6 +66,8 @@ def _emit(rows, fmt: str) -> None:
             opening = ",\n"
         sys.stdout.write("[]\n" if opening == "[\n" else "\n]\n")
     else:
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         for index, row in enumerate(rows):
             if not index:

@@ -14,13 +14,16 @@ which J and P follow.  It checks Q2 and Q3 against the system that its
 own V, Sigma, Q1 and Q4 fix.  ``closed_aggregate`` returns that row;
 ``expectations`` and ``proportions`` are ratios of its totals.
 Rationals appear only as those reduced ratios, floats only in the
-asymptotic predictions.
+asymptotic predictions.  ``fractions`` is imported inside the three
+functions that build a ``Fraction`` (``expectations``, ``proportions``
+and the failure branch of ``_exact``), not at module level: it pulls in
+``decimal`` and ``numbers``, which ``degrees``, ``render`` and a
+passing ``verify`` never need, so importing the CLI stays cheap.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -33,6 +36,8 @@ def central_binomial(n: int) -> int:
 def _exact(numerator: int, denominator: int, what: str) -> int:
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
+        from fractions import Fraction
+
         raise RuntimeError(
             f"integrality failure for {what}: {Fraction(numerator, denominator)}"
         )
@@ -136,12 +141,16 @@ def closed_aggregate(n: int) -> dict[str, int]:
 
 def expectations(n: int) -> dict[str, Fraction]:
     """Exact per-permutation expectations under the uniform class measure."""
+    from fractions import Fraction
+
     row = _row(n)
     return {s: Fraction(row[s], row["class_size"]) for s in ("H", "Q1", "Q2", "Q3", "Q4")}
 
 
 def proportions(n: int) -> dict[int, Fraction]:
     """Exact share of vertices of each degree; the four values sum to 1."""
+    from fractions import Fraction
+
     row = _row(n)
     return {r: Fraction(row[f"Q{r}"], row["V"]) for r in range(1, 5)}
 

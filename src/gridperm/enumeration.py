@@ -13,8 +13,8 @@ aggregate adds one histogram per member into running integer totals.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
 
 from .grid_graph import degree_histogram
 

@@ -14,7 +14,7 @@ of height-1 columns and the total height is added once after that.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 MAX_RENDER_COLUMNS = 40
 

@@ -7,7 +7,7 @@ the empty tuple is the length-0 word.
 from __future__ import annotations
 
 import re
-from typing import Sequence
+from collections.abc import Sequence
 
 
 def check_permutation(word: Sequence[int]) -> None:

@@ -21,7 +21,7 @@ slotted class, not a dataclass, so that importing the CLI stays cheap:
 from __future__ import annotations
 
 import operator
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 
 class TruncatedSeries:

@@ -94,8 +94,8 @@ def test_integrality_failure_exits_one_without_traceback(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "table", "--n-min", "3", "--n-max", "3")
     assert code == 1
     assert out == ""
-    assert err.startswith("FAIL: integrality failure")
-    assert "Traceback" not in err
+    # the message formats the remainder as a Fraction, imported only here
+    assert err == "FAIL: integrality failure for Q2(3): 62/5\n"
 
 
 def test_odd_square_root_coefficient_fails_the_catalan_halving(capsys, monkeypatch):
@@ -526,7 +526,12 @@ PROCESS_POOL_MODULES = ("multiprocessing", "concurrent.futures", "pickle", "subp
 
 
 def _loaded_by_importing_the_cli(modules):
-    """Those of ``modules`` that a fresh ``import gridperm.cli`` loads."""
+    """Those of ``modules`` that a fresh ``import gridperm.cli`` loads.
+
+    The interpreter runs with ``-S``: a ``site`` that preloads a module
+    (some load ``typing``, ``re`` and ``random``) would hide the CLI's
+    own import of it.
+    """
     src = Path(cli.__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(src)
@@ -535,7 +540,7 @@ def _loaded_by_importing_the_cli(modules):
         f"[m for m in {tuple(modules)!r} if m in sys.modules]))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-S", "-c", script],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -553,6 +558,17 @@ def test_importing_the_cli_loads_no_process_pool_modules():
         [*PROCESS_POOL_MODULES, "gridperm.recurrences", "os", "marshal"]
     )
     assert loaded == ["gridperm.recurrences", "os", "marshal"]
+
+
+# a call that needs one of these imports it where it first does: a
+# Fraction, a CSV row; annotations name collections.abc, not typing
+DEFERRED_MODULES = ("fractions", "decimal", "numbers", "csv", "typing")
+
+
+def test_importing_the_cli_defers_fractions_csv_and_typing():
+    # gridperm.closed_forms is loaded, so the import reached the Fraction users
+    loaded = _loaded_by_importing_the_cli([*DEFERRED_MODULES, "gridperm.closed_forms"])
+    assert loaded == ["gridperm.closed_forms"]
 
 
 def test_degrees_parse_error(capsys):
