@@ -5,8 +5,10 @@ polynomial denominator; that such quotients are integers is itself a
 nontrivial fact.  So every total is an integer numerator divided by its
 denominator with ``divmod``, and a nonzero remainder raises
 RuntimeError.  B_n = binom(2n, n) is this module's own
-``central_binomial``, so it imports no other route.  One private
-builder, ``_row``, checks the domain of n, computes B_n once and
+``central_binomial``, so it imports no other route; it keeps the last
+(n, B_n) it returned and steps it to n+1 as B_{n-1} 2(2n-1)/n, with
+the division checked, so an ascending range calls ``math.comb`` once.
+One private builder, ``_row``, checks the domain of n, takes B_n and
 evaluates every total once at it: the private evaluators, one per
 quantity, ``deg2_deg3_totals`` for the explicit Q2 and Q3, and the
 Catalan numbers C_n = B_n / (n+1) and C_{n-1} = B_n / (2(2n-1)), from
@@ -24,13 +26,39 @@ passing ``verify`` never need, so importing the CLI stays cheap.
 from __future__ import annotations
 
 import math
+import operator
 
 _SQRT_PI = math.sqrt(math.pi)
 
 
+# the last (n, B_n) that ``central_binomial`` returned
+_last_binomial = (0, 1)
+
+
 def central_binomial(n: int) -> int:
-    """B_n = binom(2n, n), exactly."""
-    return math.comb(2 * n, n)
+    """B_n = binom(2n, n), exactly.
+
+    The last pair (n, B_n) returned is kept.  A call for the same n
+    returns it; a call for the next n steps it, B_n = B_{n-1} 2(2n-1)/n,
+    with the division checked like every other (RuntimeError on a
+    remainder, and the kept pair stays as it was); any other n goes to
+    ``math.comb``.  So the closed rows of one ascending range cost one
+    ``math.comb``, then one product and one division per n.  Every kept
+    pair is exact, so callers in other threads can at worst cost each
+    other a recompute.  n goes through ``operator.index`` first, as in
+    ``math.comb``, so a float never reaches the kept pair.
+    """
+    global _last_binomial
+    n = operator.index(n)
+    last, b = _last_binomial
+    if n == last:
+        return b
+    if n == last + 1:
+        b = _exact(b * 2 * (2 * n - 1), n, f"B({n})")
+    else:
+        b = math.comb(2 * n, n)
+    _last_binomial = n, b
+    return b
 
 
 def _exact(numerator: int, denominator: int, what: str) -> int:
@@ -45,7 +73,7 @@ def _exact(numerator: int, denominator: int, what: str) -> int:
 
 
 # Evaluators at B = B_n, one per quantity; ``_row`` below checks the
-# domain of n and computes B_n.
+# domain of n and takes B_n from ``central_binomial``.
 
 
 def _horizontal_edges(n: int, b: int) -> int:

@@ -16,6 +16,10 @@ The first lowest point of the walk is read off a byte at a time from a
 256-entry table.  A draw takes O(n) time and memory, uses no floating
 point and needs no recursion.
 
+``random`` is imported in ``empirical_report``, the one place that
+seeds a generator, not at module level: it pulls in ``bisect`` and
+``_sha512``, which every other CLI call can skip.
+
 The seeded stream is pinned here; a change to this output means a new
 ``GENERATOR_NAME``:
 
@@ -27,7 +31,6 @@ The seeded stream is pinned here; a change to this output means a new
 from __future__ import annotations
 
 import math
-import random
 
 from .grid_graph import degree_histogram
 
@@ -141,6 +144,8 @@ def empirical_report(n: int, sample_count: int, seed: int) -> dict:
         raise ValueError("sample_count must be positive")
     if seed < 0:
         raise ValueError("seed must be nonnegative: random.Random(-s) seeds like Random(s)")
+    import random
+
     rng = random.Random(seed)
     total_vertices = n * (n + 1) // 2
     s0 = s1 = s2 = s3 = s4 = 0

@@ -561,14 +561,18 @@ def test_importing_the_cli_loads_no_process_pool_modules():
 
 
 # a call that needs one of these imports it where it first does: a
-# Fraction, a CSV row; annotations name collections.abc, not typing
-DEFERRED_MODULES = ("fractions", "decimal", "numbers", "csv", "typing")
+# Fraction, a CSV row, a seeded generator; annotations name
+# collections.abc, not typing
+DEFERRED_MODULES = ("fractions", "decimal", "numbers", "csv", "typing", "random")
 
 
 def test_importing_the_cli_defers_fractions_csv_and_typing():
-    # gridperm.closed_forms is loaded, so the import reached the Fraction users
-    loaded = _loaded_by_importing_the_cli([*DEFERRED_MODULES, "gridperm.closed_forms"])
-    assert loaded == ["gridperm.closed_forms"]
+    # both modules are loaded, so the import reached the Fraction users
+    # and the sampler
+    loaded = _loaded_by_importing_the_cli(
+        [*DEFERRED_MODULES, "gridperm.closed_forms", "gridperm.sampler"]
+    )
+    assert loaded == ["gridperm.closed_forms", "gridperm.sampler"]
 
 
 def test_degrees_parse_error(capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from conftest import (
     fraction_closed_row,
     fraction_expectations,
     fraction_proportions,
+    pascal_binomial,
 )
 from gridperm import (
     asymptotic_proportions,
@@ -71,6 +73,8 @@ def test_domain_errors():
         deg2_deg3_totals(1, central_binomial(1))
     with pytest.raises(ValueError):
         closed_aggregate(0)
+    with pytest.raises(ValueError):
+        central_binomial(-1)
 
 
 def test_boundary_totals():
@@ -113,6 +117,48 @@ def test_an_off_by_one_v_or_sigma_fails_the_q2q3_check(monkeypatch, name):
     closed_aggregate(5)
     with pytest.raises(RuntimeError, match=r"^Q2/Q3 routes disagree at n=6: direct \("):
         closed_aggregate(6)
+
+
+def test_central_binomial_steps_from_the_last_call(monkeypatch):
+    comb = math.comb
+    combed = []
+    monkeypatch.setattr(math, "comb", lambda n, k: combed.append(n // 2) or comb(n, k))
+    monkeypatch.setattr(closed_forms, "_last_binomial", (0, 1))
+    with pytest.raises(TypeError):
+        central_binomial(1.0)  # would step the kept pair into floats
+    # up 0..300, a repeat, a step back, a jump to 5000, one step on and back
+    for n in [*range(301), 300, 299, 5000, 5001, 300]:
+        b = comb(2 * n, n)
+        assert central_binomial(n) == b, n
+        assert closed_forms._last_binomial == (n, b)
+        if n <= 300 and (n % 50 == 0 or n in (1, 2, 299)):
+            assert b == pascal_binomial(2 * n, n), n
+    # only the step back and the two jumps reach math.comb
+    assert combed == [299, 5000, 300]
+
+
+def test_a_step_with_a_remainder_fails_and_keeps_the_pair(monkeypatch):
+    monkeypatch.setattr(closed_forms, "_last_binomial", (6, 925))  # B(6) is 924
+    with pytest.raises(RuntimeError, match=r"^integrality failure for B\(7\): 24050/7$"):
+        central_binomial(7)
+    assert closed_forms._last_binomial == (6, 925)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--n-min", "2", "--n-max", "600"],
+        ["verify", "--n-min", "2", "--n-max", "200", "--modes", "recurrence,closed"],
+    ],
+    ids=["table", "verify"],
+)
+def test_a_range_of_closed_rows_calls_math_comb_at_most_once(monkeypatch, capsys, argv):
+    comb = math.comb
+    calls = []
+    monkeypatch.setattr(math, "comb", lambda n, k: calls.append((n, k)) or comb(n, k))
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert len(calls) <= 1, calls
 
 
 def test_integrality_sweep():
