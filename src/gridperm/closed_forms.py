@@ -12,8 +12,12 @@ One private builder, ``_row``, checks the domain of n, takes B_n and
 evaluates every total once at it: the private evaluators, one per
 quantity, ``deg2_deg3_totals`` for the explicit Q2 and Q3, and the
 Catalan numbers C_n = B_n / (n+1) and C_{n-1} = B_n / (2(2n-1)), from
-which J and P follow.  It checks Q2 and Q3 against the system that its
-own V, Sigma, Q1 and Q4 fix.  ``closed_aggregate`` returns that row;
+which J and P follow.  The private evaluators take (n, B_n) from
+``_row``; the public ``deg2_deg3_totals`` takes n alone and reads B_n
+from ``central_binomial`` itself, so no caller can pass it another
+value, and in a row that read is the pair ``_row`` has just kept.  It
+checks Q2 and Q3 against the system that its own V, Sigma, Q1 and Q4
+fix.  ``closed_aggregate`` returns that row;
 ``expectations`` and ``proportions`` are ratios of its totals.
 Rationals appear only as those reduced ratios, floats only in the
 asymptotic predictions.  ``fractions`` is imported inside the three
@@ -101,14 +105,16 @@ def _deg4(n: int, b: int) -> int:
     )
 
 
-def deg2_deg3_totals(n: int, b: int) -> tuple[int, int]:
-    """(Q2(n), Q3(n)) at B = B_n, from their explicit fractions.
+def deg2_deg3_totals(n: int) -> tuple[int, int]:
+    """(Q2(n), Q3(n)) from their explicit fractions in n and B_n.
 
-    ``_row`` checks them against the 2x2 system fixed by its own vertex
-    total and degree sum together with Q1 and Q4.
+    B_n comes from ``central_binomial``.  ``_row`` checks the pair
+    against the 2x2 system fixed by its own vertex total and degree sum
+    together with Q1 and Q4.
     """
     if n < 2:
         raise ValueError("deg2_deg3_totals needs n >= 2")
+    b = central_binomial(n)
     four_n = 4**n
     q2 = _exact(
         (12 * n**2 + 44 * n - 112) * b + (2 * n**2 + n - 1) * four_n,
@@ -128,7 +134,7 @@ def _row(n: int) -> dict[str, int]:
     if n < 2:
         raise ValueError(f"closed forms need n >= 2, got n={n}")
     b = central_binomial(n)
-    q2, q3 = deg2_deg3_totals(n, b)
+    q2, q3 = deg2_deg3_totals(n)
     q1, q4, v, sigma = _deg1(n, b), _deg4(n, b), _vertices(n, b), _degree_sum(n, b)
     s1 = v - q1 - q4  # Q2 + Q3; Sigma less Q1 and 4 Q4 is Q2 + 2 Q3
     q3_system = sigma - q1 - 4 * q4 - 2 * s1

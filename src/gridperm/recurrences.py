@@ -28,7 +28,9 @@ its own Catalan numbers, C_n being the number of words over the splits
 of n, so the module imports no other route.  Where ``os.fork`` exists,
 the D, P chain runs in a forked child while the caller runs the other,
 so the pass takes two CPUs, and the child sends its sequences back down
-a pipe with ``marshal``.  The caller's own peak RSS (RUSAGE_SELF, which
+a pipe with ``marshal``.  The child's whole life, from the fork to
+its ``os._exit`` and its reaping, reads top to bottom in
+:func:`gluing_totals`.  The caller's own peak RSS (RUSAGE_SELF, which
 the benchmark's ``peak_rss_mb`` reads) does not count the child's.
 """
 
@@ -241,37 +243,6 @@ def _chain(n_max: int, statistics: tuple[str, ...]):
     return {name: sequences[name] for name in statistics}, None
 
 
-def _start_chain(n_max: int, statistics: tuple[str, ...]) -> tuple[int, int]:
-    """Forks a child that runs ``_chain(n_max, statistics)``.
-
-    Returns the child's pid and the read end of the pipe down which it
-    sends the chain's result with ``marshal``.  The child leaves by
-    ``os._exit``, with status 0 once the result is sent: it runs no exit
-    handler and flushes none of the stdio buffers it inherited, so text
-    the caller had not yet written is written once, by the caller.
-    """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid:
-        os.close(write_end)
-        return pid, read_end
-    status = 1
-    try:
-        os.close(read_end)
-        with open(write_end, "wb") as pipe:
-            marshal.dump(_chain(n_max, statistics), pipe)
-        status = 0
-    except Exception:
-        sys.excepthook(*sys.exc_info())  # the parent reports only the exit status
-    finally:
-        os._exit(status)
-
-
 def gluing_totals(n_max: int) -> dict[str, list[int]]:
     """The five gluing sequences for 0 <= n <= n_max, keyed by statistic.
 
@@ -285,15 +256,16 @@ def gluing_totals(n_max: int) -> dict[str, list[int]]:
     counts: a glue that is not quadratic on the interior raises
     RuntimeError.  A negative ``n_max`` raises ValueError.
 
-    The pass runs as the two ``CHAINS``: H, Q4 and J in this process and,
-    where ``os.fork`` exists, D and P in a forked child at the same
-    time, else after the first.  Of two failed checks it raises the one
-    a single pass over all five would meet first: the smallest n, then
-    ``STATISTICS`` order.  A child that ends without sending its
-    sequences, say by a signal, raises RuntimeError naming how it
-    ended.  The child is reaped before this returns or raises, and
-    killed first if this process is leaving early; this process's peak
-    RSS does not count the child's.
+    The pass runs as the two ``CHAINS``: H, Q4 and J in this process and
+    D and P after them or, where ``os.fork`` exists, at the same time
+    in a child forked here, once the pipe it answers down is open.  A
+    failed fork closes that pipe and raises the fork's own error.  Of
+    two failed checks it raises the one a single pass over all five
+    would meet first: the smallest n, then ``STATISTICS`` order.  A
+    child that ends without sending its sequences, say by a signal,
+    raises RuntimeError naming how it ended.  The child is reaped
+    before this returns or raises, and killed first if this process is
+    leaving early; this process's peak RSS does not count the child's.
 
     >>> totals = gluing_totals(5)
     >>> totals["H"], totals["Q4"]
@@ -305,7 +277,29 @@ def gluing_totals(n_max: int) -> dict[str, list[int]]:
         raise ValueError(f"n_max={n_max} is negative")
     first, second = CHAINS
     if hasattr(os, "fork"):
-        pid, read_end = _start_chain(n_max, second)
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if not pid:
+            # the child sends its chain's result and leaves by os._exit:
+            # it runs no exit handler and flushes none of the stdio
+            # buffers it inherited, so text this process had not yet
+            # written is written once, by this process
+            status = 1
+            try:
+                os.close(read_end)
+                with open(write_end, "wb") as pipe:
+                    marshal.dump(_chain(n_max, second), pipe)
+                status = 0
+            except Exception:
+                sys.excepthook(*sys.exc_info())  # the parent reports only the exit status
+            finally:
+                os._exit(status)
+        os.close(write_end)
         with open(read_end, "rb") as pipe:
             try:
                 results = [_chain(n_max, first)]

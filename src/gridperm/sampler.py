@@ -16,6 +16,12 @@ The first lowest point of the walk is read off a byte at a time from a
 256-entry table.  A draw takes O(n) time and memory, uses no floating
 point and needs no recursion.
 
+``empirical_report`` tallies degrees 1 to 4 only.  A degree-0 vertex
+is the lone vertex of a height-1 column with no neighbour, which only
+the word (1) has; the report needs n >= 2, where ``degree_histogram``
+returns a literal 0 for degree 0, so its mean and standard error are
+0.0 from a 0 sum.
+
 ``random`` is imported in ``empirical_report``, the one place that
 seeds a generator, not at module level: it pulls in ``bisect`` and
 ``_sha512``, which every other CLI call can skip.
@@ -148,25 +154,24 @@ def empirical_report(n: int, sample_count: int, seed: int) -> dict:
 
     rng = random.Random(seed)
     total_vertices = n * (n + 1) // 2
-    s0 = s1 = s2 = s3 = s4 = 0
-    sq0 = sq1 = sq2 = sq3 = sq4 = 0
+    s1 = s2 = s3 = s4 = 0
+    sq1 = sq2 = sq3 = sq4 = 0
     h_sum = 0
     for _ in range(sample_count):
         word = sample_av213(n, rng)
-        (c0, c1, c2, c3, c4), h = degree_histogram(word)
-        s0 += c0
+        # degree 0 needs n = 1: the histogram's slot 0 is a literal 0
+        (_, c1, c2, c3, c4), h = degree_histogram(word)
         s1 += c1
         s2 += c2
         s3 += c3
         s4 += c4
-        sq0 += c0 * c0
         sq1 += c1 * c1
         sq2 += c2 * c2
         sq3 += c3 * c3
         sq4 += c4 * c4
         h_sum += h
-    sums = (s0, s1, s2, s3, s4)
-    sums_sq = (sq0, sq1, sq2, sq3, sq4)
+    sums = (0, s1, s2, s3, s4)
+    sums_sq = (0, sq1, sq2, sq3, sq4)
     means = {}
     errors = {}
     for r in range(5):

@@ -19,7 +19,6 @@ from gridperm import (
     aggregate_brute,
     aggregate_stats,
     asymptotic_proportions,
-    central_binomial,
     closed_aggregate,
     deg2_deg3_totals,
     empirical_report,
@@ -69,8 +68,8 @@ def test_criterion_2_brute_vs_closed():
     assert [row3[f"Q{r}"] for r in range(1, 5)] == [10, 12, 8, 0]
     for row in (row2, row3):  # no degree-0 vertices for n >= 2
         assert row["V"] == sum(row[f"Q{r}"] for r in range(1, 5))
-    assert deg2_deg3_totals(2, central_binomial(2)) == (2, 0)
-    assert deg2_deg3_totals(3, central_binomial(3)) == (12, 8)
+    assert deg2_deg3_totals(2) == (2, 0)
+    assert deg2_deg3_totals(3) == (12, 8)
     assert row4["Q4"] == 8
     _finish("criterion 2 (brute vs closed, 2 <= n <= 10)", started, 300)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import math
 import os
 import re
@@ -311,6 +312,24 @@ def test_an_error_in_the_parents_chain_kills_the_child(monkeypatch):
         gluing_totals(2000)
     _assert_no_child_left()
     assert time.perf_counter() - start < 4
+
+
+def test_a_failed_fork_leaves_no_child_or_descriptor(monkeypatch):
+    fds = "/proc/self/fd"
+    if not os.path.isdir(fds):
+        pytest.skip(f"open descriptors are counted from {fds}")
+    error = OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    def raising():
+        raise error
+
+    monkeypatch.setattr(os, "fork", raising)
+    before = len(os.listdir(fds))
+    with pytest.raises(OSError) as raised:
+        gluing_totals(40)
+    assert raised.value is error
+    _assert_no_child_left()
+    assert len(os.listdir(fds)) == before
 
 
 def test_unflushed_stdout_is_written_once():
