@@ -1,12 +1,13 @@
 """Command-line front end: verification, tables, series checks, sampling.
 
 ``verify`` and ``table`` stream their rows: each row is written as soon
-as its n is computed, so memory does not grow with the range (``verify``
-keeps the recurrence route's five gluing sequences, from one pass over
-the whole range).  When an exact check fails mid-range, the complete
-rows already written stay on stdout and the ``FAIL:`` line follows on
-stderr; a reader that closes stdout early stops the work at the next
-flush of stdout's buffer.
+as its n is computed, so memory does not grow with the range.
+``verify`` reads the recurrence route from ``recurrences.gluing_stream``,
+so its rows of one n are written while the forked child counts the
+next.  When an exact check fails mid-range, recurrence checks included,
+the complete rows already written stay on stdout and the ``FAIL:`` line
+follows on stderr; a reader that closes stdout early stops the work at
+the next flush of stdout's buffer, and the stream's child with it.
 
 Handlers return nothing; ``main`` alone turns each outcome into an
 exit code.  0 on success.  1 when a check fails, which the handler or
@@ -22,12 +23,6 @@ comparison, brute mode past the enumeration cap without ``--force``, and
 a negative sample seed).  141 (128 + SIGPIPE) when the reader of stdout
 closes it early, as ``head`` does; it wins over 1, whose ``FAIL:`` line
 is still written.  ``--help`` alone still ends in argparse, with exit 0.
-
-``csv`` is imported in the CSV branch of ``_emit``, where a row is
-first written, not at module level: ``degrees`` and ``render`` never
-write CSV, and importing this module stays cheap for them.  ``json``,
-``re`` (through ``permutations``) and ``argparse`` stay at the top,
-because those two calls use them.
 """
 
 from __future__ import annotations
@@ -48,10 +43,20 @@ MODES = ("brute", "recurrence", "closed")
 STAT_ORDER = CSV_FIELDS[1:]
 
 
+def _csv_field(value) -> str:
+    """``value`` as ``csv.writer`` writes it with the default dialect."""
+    if isinstance(value, str):
+        if "," in value or '"' in value or "\n" in value:
+            return '"' + value.replace('"', '""') + '"'
+        return value
+    return "" if value is None else str(value)
+
+
 def _emit(rows, fmt: str) -> None:
     """Write each row dict to stdout as soon as the iterable yields it.
 
-    The bytes equal one ``json.dumps(list(rows), indent=2)`` line, or a
+    The bytes equal one ``json.dumps(list(rows), indent=2)`` line, or
+    what ``csv.writer(sys.stdout, lineterminator="\n")`` writes for a
     header line from the first row's keys and then one line per row,
     without holding more than one row.
     """
@@ -66,13 +71,12 @@ def _emit(rows, fmt: str) -> None:
             opening = ",\n"
         sys.stdout.write("[]\n" if opening == "[\n" else "\n]\n")
     else:
-        import csv
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        # one join per row: csv.writer scans every character of the
+        # digits for a quote it never needs
         for index, row in enumerate(rows):
             if not index:
-                writer.writerow(row.keys())
-            writer.writerow(row.values())
+                sys.stdout.write(",".join(map(_csv_field, row)) + "\n")
+            sys.stdout.write(",".join(map(_csv_field, row.values())) + "\n")
 
 
 class _UsageError(Exception):
@@ -86,41 +90,47 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _mode_values(mode, n, n_max, sequences):
+def _mode_values(mode, n, n_max, recurrence):
     """Statistic values at one n for one computation route; empty where it has none."""
     if mode == "brute":
         return aggregate_brute(n, n_max)
     if mode == "recurrence":
-        return {stat: seq[n] for stat, seq in sequences.items()}
+        return next(recurrence)
     return closed_forms.closed_aggregate(n) if n >= 2 else {}
 
 
 def _comparisons(modes, n_min, n_max, mismatches):
     """Yield one row per (n, statistic, mode pair), one n at a time.
 
-    The recurrence route is one gluing pass over the whole range, made
-    up front; the other routes compute each n when its rows are due.
-    The first unequal row is appended to ``mismatches``.
+    Every route computes each n when its rows are due; the recurrence
+    route reads it from one gluing stream over 0..n_max, which is closed
+    when this generator ends or is closed.  The first unequal row is
+    appended to ``mismatches``.
     """
-    sequences = recurrences.gluing_totals(n_max) if "recurrence" in modes else None
-    for n in range(n_min, n_max + 1):
-        values = {mode: _mode_values(mode, n, n_max, sequences) for mode in modes}
-        for stat in STAT_ORDER:
-            for lhs_mode, rhs_mode in itertools.combinations(modes, 2):
-                lhs, rhs = values[lhs_mode], values[rhs_mode]
-                if stat not in lhs or stat not in rhs:
-                    continue
-                row = {
-                    "n": n,
-                    "statistic": stat,
-                    "modes": f"{lhs_mode}/{rhs_mode}",
-                    "equal": lhs[stat] == rhs[stat],
-                    "lhs": lhs[stat],
-                    "rhs": rhs[stat],
-                }
-                if not row["equal"] and not mismatches:
-                    mismatches.append(row)
-                yield row
+    stream = recurrences.gluing_stream(n_max) if "recurrence" in modes else None
+    recurrence = itertools.islice(stream, n_min, None) if stream else None
+    try:
+        for n in range(n_min, n_max + 1):
+            values = {mode: _mode_values(mode, n, n_max, recurrence) for mode in modes}
+            for stat in STAT_ORDER:
+                for lhs_mode, rhs_mode in itertools.combinations(modes, 2):
+                    lhs, rhs = values[lhs_mode], values[rhs_mode]
+                    if stat not in lhs or stat not in rhs:
+                        continue
+                    row = {
+                        "n": n,
+                        "statistic": stat,
+                        "modes": f"{lhs_mode}/{rhs_mode}",
+                        "equal": lhs[stat] == rhs[stat],
+                        "lhs": lhs[stat],
+                        "rhs": rhs[stat],
+                    }
+                    if not row["equal"] and not mismatches:
+                        mismatches.append(row)
+                    yield row
+    finally:
+        if stream:
+            stream.close()
 
 
 def cmd_verify(args) -> None:
@@ -140,13 +150,16 @@ def cmd_verify(args) -> None:
         )
     mismatches = []
     rows = _comparisons(modes, args.n_min, args.n_max, mismatches)
-    first = next(rows, None)  # refuse before anything reaches stdout
-    if first is None:
-        raise _UsageError(
-            f"modes {','.join(modes)} give nothing to compare for "
-            f"n={args.n_min}..{args.n_max} (closed forms start at n=2)"
-        )
-    _emit(itertools.chain([first], rows), args.format)
+    try:
+        first = next(rows, None)  # refuse before anything reaches stdout
+        if first is None:
+            raise _UsageError(
+                f"modes {','.join(modes)} give nothing to compare for "
+                f"n={args.n_min}..{args.n_max} (closed forms start at n=2)"
+            )
+        _emit(itertools.chain([first], rows), args.format)
+    finally:
+        rows.close()  # ends the gluing stream's child, however the rows end
     if mismatches:
         row = mismatches[0]
         raise RuntimeError(

@@ -20,17 +20,26 @@ The pass reads its Newton form off the glue function at i = 3, 4, 5,
 checks it at j = 3, 4, raises RuntimeError where the two differ, and
 multiplies it by the count's moments over the interior.
 
-All five totals come from one pass over n, :func:`gluing_totals`, the
-module's only entry point.  The pass runs as two chains that share
-nothing but the Catalan numbers: the glues of H, Q4 and J read only the
-words of a split, and D and P need the words and D.  Each chain counts
-its own Catalan numbers, C_n being the number of words over the splits
-of n, so the module imports no other route.  Where ``os.fork`` exists,
-the D, P chain runs in a forked child while the caller runs the other,
-so the pass takes two CPUs, and the child sends its sequences back down
-a pipe with ``marshal``.  The child's whole life, from the fork to
-its ``os._exit`` and its reaping, reads top to bottom in
-:func:`gluing_totals`.  The caller's own peak RSS (RUSAGE_SELF, which
+All five totals come from one pass over n, :func:`gluing_stream`,
+which yields each n's totals once they are final; :func:`gluing_totals`
+collects it into sequences.  The pass counts the words of each n once,
+in ``_words``: the half products C_i C_j, C_n as their mirrored sum and
+the interior's three word moments, with the halving checks.  Those feed
+two chains that share nothing else: the glues of H, Q4 and J read only
+the words of a split, and D and P need the words and D.  Each chain
+keeps its own Catalan numbers, grown from the C_n it is given, and forms
+its edge splits' words from them, so the module imports no other route.
+Where ``os.fork`` exists, the words and the D, P chain run in a forked
+child while the caller runs the other chain, so the pass takes two
+CPUs.  Per n the child sends two messages down a pipe, each a
+``marshal`` dump after its length and flushed at once: first the words
+of n, then its D and P.  So the caller sums H, Q4 and J of n while the
+child sums D and P of n, and the caller's rows of n are written while
+the child counts n + 1.  A failed check is sent in place of the message
+it stops, and ends the child.  Without ``os.fork`` one process feeds
+the same words to both chains.  The child's whole life, from the fork
+to its ``os._exit`` and its reaping, reads top to bottom in
+:func:`gluing_stream`.  The caller's own peak RSS (RUSAGE_SELF, which
 the benchmark's ``peak_rss_mb`` reads) does not count the child's.
 """
 
@@ -177,53 +186,74 @@ def _interior_glue(name: str, glue, n: int, moments) -> int:
     return total
 
 
-def _chain(n_max: int, statistics: tuple[str, ...]):
-    """One chain of the pass: the sequences of ``statistics``, 0 <= n <= n_max.
+def _words(n_max: int):
+    """The words of each n, 1 <= n <= n_max, counted once for both chains.
 
-    A chain counts C_j D_i and C_i D_j only if it holds D; a chain
-    without D checks that its glues weigh neither, at each edge split
-    and through the Newton read on the interior.
+    Yields ((n, C_n, moments), None): C_n is the sum of the split
+    products C_i C_j, and ``moments`` the interior's word moments, or
+    None for an n summed wholly split by split.  A failed halving check
+    yields (None, (-1, message)) and ends the words.
+    """
+    cat = [1]  # C_0 .. C_{n-1}; C_n is appended once the words of n are counted
+    for n in range(1, n_max + 1):
+        # C_i C_j is symmetric in the split: form the first ceil(n/2)
+        # products, the words of split i and of its mirror n - 1 - i
+        half = list(map(mul, cat[: (n + 1) // 2], reversed(cat)))
+        cat.append(2 * sum(half[: n // 2]) + (half[-1] if n % 2 else 0))
+        moments = None
+        if n - 2 * EDGE >= MIN_INTERIOR:
+            try:
+                # the edge splits are i < EDGE and their mirrors
+                moments = _word_moments(n, half, cat[n] - 2 * sum(half[:EDGE]))
+            except RuntimeError as error:
+                yield None, (-1, str(error))
+                return
+        yield (n, cat[n], moments), None
 
-    Returns (sequences, None), or (None, (n, rank, message)) for the
-    chain's first failed check.  rank is -1 for the words' halving
-    checks, which every chain makes, and otherwise the statistic's
-    place in ``STATISTICS``, so the least failure of the two chains is
-    the one a single pass over all five would meet first.
+
+def _chain(statistics: tuple[str, ...]):
+    """One chain of the pass, as a step over the words of n = 1, 2, ...
+
+    ``step(n, catalan, moments)`` takes a record of ``_words`` and
+    returns (totals, None), the chain's totals at n keyed by statistic,
+    or (None, (rank, message)) for its first failed check.  rank is the
+    statistic's place in ``STATISTICS``; the words' halving checks rank
+    -1.  So the least failure of the two chains is the one a single pass
+    over all five would meet first.
+
+    The chain forms the edge splits' words from its own Catalan
+    numbers, which grow by the C_n of each record.  It counts C_j D_i
+    and C_i D_j only if it holds D; a chain without D checks that its
+    glues weigh neither, at each edge split and through the Newton read
+    on the interior.
     """
     glues = dict(zip(STATISTICS, (_h_glue, _q4_shift, _descents, _internal_min, _new_peaks)))
     counts_d = "D" in statistics
-    cat = [1]  # C_0 .. C_{n-1}; C_n is appended once the words of n are counted
-    sequences = {name: [0] * (n_max + 1) for name in STATISTICS}
-    d = sequences["D"]
+    cat = [1]  # C_0 .. C_{n-1} while n is summed
+    d = [0]  # D_0 .. D_{n-1}, all 0 in a chain without D
     # every word keeps both blocks' own edges, degree-4 vertices (less
     # one at an internal block minimum) and peaks: summed over all
     # splits, sum_i (C_j S_i + C_i S_j) = 2 sum_i C_j S_i
-    kept = {"H": sequences["H"], "Q4": [0] * (n_max + 1), "P": sequences["P"]}
-    try:
-        for n in range(1, n_max + 1):
-            rank = -1
-            cj = cat[n - 1 :: -1]  # entry i is C_j of the split (i, j = n - 1 - i)
-            # C_i C_j is symmetric in the split: form the first ceil(n/2)
-            # products, the words of split i and of its mirror n - 1 - i
-            half = list(map(mul, cat[: (n + 1) // 2], cj))
-            cat.append(2 * sum(half[: n // 2]) + (half[-1] if n % 2 else 0))
-            interior = n - 2 * EDGE >= MIN_INTERIOR
-            edges = (*range(EDGE), *range(n - EDGE, n)) if interior else range(n)
-            splits = [
-                (i, n - 1 - i, half[min(i, n - 1 - i)], cj[i] * d[i], cat[i] * d[n - 1 - i])
-                for i in edges
-            ]
-            if interior:
-                words = _word_moments(n, half, cat[n] - sum(split[2] for split in splits))
-                # sum_i C_j D_i is the total of left_d and, read backwards,
-                # of right_d; the interior is its own mirror, so the two
-                # have one interior total
-                inner_d = ()
-                if counts_d:
-                    inner_d = (sum(map(mul, cj, d)) - sum(split[3] for split in splits),)
-                moments = (words, inner_d, inner_d)
-            for name in statistics:
-                rank, glue = STATISTICS.index(name), glues[name]
+    kept = {name: [0] for name in ("H", "Q4", "P") if name in statistics}
+
+    def step(n, catalan, moments):
+        edges = (*range(EDGE), *range(n - EDGE, n)) if moments else range(n)
+        splits = [
+            (i, n - 1 - i, cat[i] * cat[n - 1 - i], cat[n - 1 - i] * d[i], cat[i] * d[n - 1 - i])
+            for i in edges
+        ]
+        if moments:
+            # sum_i C_j D_i is the total of left_d and, read backwards,
+            # of right_d; the interior is its own mirror, so the two
+            # have one interior total
+            inner_d = ()
+            if counts_d:
+                inner_d = (sum(map(mul, reversed(cat), d)) - sum(split[3] for split in splits),)
+            moments = (moments, inner_d, inner_d)
+        totals = {}
+        for name in statistics:
+            rank, glue = STATISTICS.index(name), glues[name]
+            try:
                 if not counts_d:
                     for i, j, *_ in splits:
                         if glue(i, j, 0, 1, 0) or glue(i, j, 0, 0, 1):
@@ -232,40 +262,158 @@ def _chain(n_max: int, statistics: tuple[str, ...]):
                                 f"of n = {n}, which its chain does not count"
                             )
                 total = sum(glue(*split) for split in splits)
-                if interior:
+                if moments:
                     total += _interior_glue(name, glue, n, moments)
-                if name in kept:
-                    total += 2 * sum(map(mul, cj, kept[name]))
-                sequences[name][n] = total
-            kept["Q4"][n] = sequences["Q4"][n] - sequences["J"][n]
-    except RuntimeError as error:
-        return None, (n, rank, str(error))
-    return {name: sequences[name] for name in statistics}, None
+            except RuntimeError as error:
+                return None, (rank, str(error))
+            if name in kept:
+                total += 2 * sum(map(mul, reversed(cat), kept[name]))
+            totals[name] = total
+        cat.append(catalan)
+        d.append(totals.get("D", 0))
+        for name, history in kept.items():
+            history.append(totals[name] - totals["J"] if name == "Q4" else totals[name])
+        return totals, None
+
+    return step
 
 
-def gluing_totals(n_max: int) -> dict[str, list[int]]:
-    """The five gluing sequences for 0 <= n <= n_max, keyed by statistic.
+def _checked(message):
+    """The payload of a (payload, fault) message; a fault raises RuntimeError."""
+    payload, fault = message
+    if fault:
+        raise RuntimeError(fault[1])
+    return payload
 
-    H: horizontal edges; Q4: degree-4 vertices; D: words whose first
-    two entries descend; J: words whose minimum sits strictly inside;
-    P: internal-column degree-1 vertices (internal peaks).
+
+def _merged(ours, theirs) -> dict[str, int]:
+    """The five totals at n from the two chains' steps, or their first fault raised."""
+    faults = [fault for _, fault in (ours, theirs) if fault]
+    if faults:
+        raise RuntimeError(min(faults)[1])
+    totals = {**ours[0], **theirs[0]}
+    return {name: totals[name] for name in STATISTICS}
+
+
+def _send(pipe, message) -> None:
+    """Write one message for ``_receive``: its length, its marshal dump, a flush."""
+    data = marshal.dumps(message)
+    pipe.write(len(data).to_bytes(4, "little"))
+    pipe.write(data)
+    pipe.flush()
+
+
+def _receive(pipe):
+    """The child's next message; EOFError if it closed the pipe first."""
+    header = pipe.read(4)
+    if len(header) < 4:
+        raise EOFError
+    return marshal.loads(pipe.read(int.from_bytes(header, "little")))
+
+
+def gluing_stream(n_max: int):
+    """The five gluing totals at each n = 0 .. n_max, one dict per n.
+
+    Keyed by statistic in ``STATISTICS`` order.  H: horizontal edges;
+    Q4: degree-4 vertices; D: words whose first two entries descend; J:
+    words whose minimum sits strictly inside; P: internal-column degree-1
+    vertices (internal peaks).
 
     Each n sums every glue function over the edge splits literally and
     over the interior splits as its Newton form, read off and checked
     against the function itself, times the moments of the split's
     counts: a glue that is not quadratic on the interior raises
-    RuntimeError.  A negative ``n_max`` raises ValueError.
+    RuntimeError at its n, after the totals of every earlier n were
+    yielded.  A negative ``n_max`` raises ValueError.
 
-    The pass runs as the two ``CHAINS``: H, Q4 and J in this process and
-    D and P after them or, where ``os.fork`` exists, at the same time
-    in a child forked here, once the pipe it answers down is open.  A
-    failed fork closes that pipe and raises the fork's own error.  Of
-    two failed checks it raises the one a single pass over all five
-    would meet first: the smallest n, then ``STATISTICS`` order.  A
-    child that ends without sending its sequences, say by a signal,
-    raises RuntimeError naming how it ended.  The child is reaped
-    before this returns or raises, and killed first if this process is
-    leaving early; this process's peak RSS does not count the child's.
+    The words of each n are counted once, by ``_words``, and feed the
+    two ``CHAINS``.  Where ``os.fork`` exists, a child forked at the
+    first n counts the words and runs the D, P chain; per n it sends
+    down a pipe the words, then its D and P, each message as soon as it
+    is made, while this process runs H, Q4 and J on the words it reads.
+    Elsewhere one process feeds the words to both chains in turn.  A
+    failed fork closes the pipe and raises the fork's own error.  Of
+    two failed checks at one n it raises the one a single pass over all
+    five would meet first, in ``STATISTICS`` order.  A child that ends
+    before it sends what its n needs, say by a signal, raises
+    RuntimeError naming how it ended.  Once the stream ends, however it
+    ends, closed early included, the child is killed unless it was
+    reaped already, and reaped; this process's peak RSS does not count
+    the child's.
+
+    >>> [totals["H"] for totals in gluing_stream(5)]
+    [0, 0, 2, 14, 76, 374]
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max={n_max} is negative")
+    yield dict.fromkeys(STATISTICS, 0)
+    ours, theirs = map(_chain, CHAINS)
+    if not hasattr(os, "fork"):
+        for words in _words(n_max):
+            record = _checked(words)
+            yield _merged(ours(*record), theirs(*record))
+        return
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if not pid:
+        # the child leaves by os._exit: it runs no exit handler and
+        # flushes none of the stdio buffers it inherited, so text this
+        # process had not yet written is written once, by this process
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                for words in _words(n_max):
+                    _send(pipe, words)
+                    if words[1]:
+                        break
+                    step = theirs(*words[0])
+                    _send(pipe, step)
+                    if step[1]:
+                        break
+            status = 0
+        except Exception:
+            sys.excepthook(*sys.exc_info())  # the parent reports only the exit status
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    pipe = open(read_end, "rb")
+    try:
+        for _ in range(n_max):
+            record = _checked(_receive(pipe))
+            yield _merged(ours(*record), _receive(pipe))
+    except EOFError:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        pid = None
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise RuntimeError(
+            f"the child process counting {' and '.join(CHAINS[1])} {how} "
+            "before it sent its sequences"
+        ) from None
+    finally:
+        if pid:
+            # the child may be running ahead, blocked on a full pipe that
+            # no one will read, or leaving after its last message; it is
+            # killed before the pipe closes, which it would meet as an
+            # error.  signal is imported only here, as the CLI's start-up
+            # need not load it
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        pipe.close()
+
+
+def gluing_totals(n_max: int) -> dict[str, list[int]]:
+    """The five gluing sequences for 0 <= n <= n_max, keyed by statistic.
+
+    The totals of :func:`gluing_stream`, collected; it raises what the
+    stream raises.
 
     >>> totals = gluing_totals(5)
     >>> totals["H"], totals["Q4"]
@@ -273,58 +421,5 @@ def gluing_totals(n_max: int) -> dict[str, list[int]]:
     >>> totals["D"], totals["J"], totals["P"]
     ([0, 0, 1, 2, 5, 14], [0, 0, 0, 1, 4, 14], [0, 0, 0, 2, 10, 42])
     """
-    if n_max < 0:
-        raise ValueError(f"n_max={n_max} is negative")
-    first, second = CHAINS
-    if hasattr(os, "fork"):
-        read_end, write_end = os.pipe()
-        try:
-            pid = os.fork()
-        except BaseException:
-            os.close(read_end)
-            os.close(write_end)
-            raise
-        if not pid:
-            # the child sends its chain's result and leaves by os._exit:
-            # it runs no exit handler and flushes none of the stdio
-            # buffers it inherited, so text this process had not yet
-            # written is written once, by this process
-            status = 1
-            try:
-                os.close(read_end)
-                with open(write_end, "wb") as pipe:
-                    marshal.dump(_chain(n_max, second), pipe)
-                status = 0
-            except Exception:
-                sys.excepthook(*sys.exc_info())  # the parent reports only the exit status
-            finally:
-                os._exit(status)
-        os.close(write_end)
-        with open(read_end, "rb") as pipe:
-            try:
-                results = [_chain(n_max, first)]
-                sent = pipe.read()
-            except BaseException:
-                # the child may be blocked on a full pipe that no one will
-                # read; signal is imported only here, as the CLI's start-up
-                # need not load it
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-                raise
-            finally:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code:
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise RuntimeError(
-                f"the child process counting {' and '.join(second)} {how} "
-                "before it sent its sequences"
-            )
-        results.append(marshal.loads(sent))
-    else:
-        results = [_chain(n_max, chain) for chain in CHAINS]
-    failures = [failure for _, failure in results if failure]
-    if failures:
-        raise RuntimeError(min(failures)[2])
-    totals = {**results[0][0], **results[1][0]}
-    return {name: totals[name] for name in STATISTICS}
+    rows = list(gluing_stream(n_max))
+    return {name: [totals[name] for totals in rows] for name in STATISTICS}

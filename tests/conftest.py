@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul, sub
@@ -319,3 +320,18 @@ def doubled_sqrt(monkeypatch):
         return 2 * root if k == 1 else root
 
     monkeypatch.setattr(series, "half_power", doubled)
+
+
+@pytest.fixture
+def forked_children(monkeypatch):
+    """The pids of the children that this process forks while the test runs."""
+    fork, children = os.fork, []
+
+    def counted():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return children

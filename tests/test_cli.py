@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import gc
@@ -10,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -262,6 +264,26 @@ def test_emit_without_rows(capsys):
     assert capsys.readouterr().out == "[]\n"
 
 
+def test_csv_rows_equal_the_csv_writers(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rows = [
+            {"n": 2, "first_nonzero": None, "equal": True, "share": 0.25, "lhs": -7},
+            {"n": 3, "first_nonzero": "3/1", "equal": False, "share": -1e-300, "lhs": 10**5000},
+            {"n": 4, "first_nonzero": "a,b", "equal": 'say "x"', "share": "two\nlines", "lhs": ""},
+            {"n": -(10**4400), "first_nonzero": '"', "equal": ",", "share": 1.5, "lhs": None},
+        ]
+        cli._emit(iter(rows), "csv")
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(rows[0].keys())
+        writer.writerows(row.values() for row in rows)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert capsys.readouterr().out == expected.getvalue()
+
+
 def test_json_rows_leave_no_cyclic_garbage(capsys):
     rows = (
         {"n": n, "statistic": "H", "modes": "recurrence/closed", "equal": True, "lhs": n, "rhs": n}
@@ -323,23 +345,21 @@ def test_table_memory_does_not_grow_with_the_rows():
     assert peak - one_row < chars // 10
 
 
-def test_verify_memory_is_the_gluing_pass_not_the_rows(monkeypatch):
-    after_pass = []
-    gluing_totals = recurrences.gluing_totals
-
-    def marked(n_max):
-        totals = gluing_totals(n_max)
-        after_pass.append(tracemalloc.get_traced_memory()[0])  # with the five sequences
-        tracemalloc.reset_peak()  # what follows is the rows
-        return totals
+def test_verify_memory_is_the_gluing_pass_not_the_rows():
+    def stream_peak(n_max):
+        """Traced peak of the gluing stream over 0..n_max, read and dropped."""
+        collections.deque(recurrences.gluing_stream(3), maxlen=0)
+        return traced_peak(
+            lambda: collections.deque(recurrences.gluing_stream(n_max), maxlen=0)
+        )
 
     def rows_peak(n_max):
-        peak, chars = streamed_peak("verify", "--n-max", n_max, "--modes", "recurrence,closed")
-        return peak - after_pass[-1], chars
+        peak, chars = streamed_peak("verify", "--n-max", str(n_max), "--modes", "recurrence,closed")
+        # what the stream holds grows with n_max; what the rows add must not
+        return peak - stream_peak(n_max), chars
 
-    monkeypatch.setattr(recurrences, "gluing_totals", marked)
-    few, _ = rows_peak("3")
-    many, chars = rows_peak("300")
+    few, _ = rows_peak(3)
+    many, chars = rows_peak(300)
     # about 0.31 MB of text, which holding every row or every
     # closed-form value would add
     assert many - few < chars // 10
@@ -479,6 +499,36 @@ def test_closed_pipe_exits_141_without_traceback():
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+def test_verify_into_a_pipe_closed_after_one_line_exits_141_at_once():
+    src = Path(cli.__file__).resolve().parents[1]
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gridperm", "verify", "--n-max", "2000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.readline() == b"n,statistic,modes,equal,lhs,rhs\n"
+    proc.stdout.close()  # as `head -n 1` does
+    # stderr ends only once the CLI and its forked child have both gone
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    # the whole gluing pass to n = 2000 takes several seconds
+    assert time.perf_counter() - start < 4
+    assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
+def test_a_verify_refused_after_the_stream_started_leaves_no_child(capsys, forked_children):
+    code, out, err = run_cli(
+        capsys, "verify", "--n-min", "0", "--n-max", "1", "--modes", "recurrence,closed"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: modes recurrence,closed give nothing to compare")
+    assert len(forked_children) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # the child's stdout is a pipe whose reader has gone; table's rows for
 # n = 2..4 sit in the buffer when the Q2/Q3 check fails at n = 5
 FAILED_CHECK_INTO_A_CLOSED_PIPE = """
@@ -561,8 +611,8 @@ def test_importing_the_cli_loads_no_process_pool_modules():
 
 
 # a call that needs one of these imports it where it first does: a
-# Fraction, a CSV row, a seeded generator; annotations name
-# collections.abc, not typing
+# Fraction or a seeded generator; CSV rows are joined without csv, and
+# annotations name collections.abc, not typing
 DEFERRED_MODULES = ("fractions", "decimal", "numbers", "csv", "typing", "random")
 
 

@@ -191,16 +191,28 @@ FAULTS = {
 }
 
 
+def _verify_rows_before(n, capsys):
+    """The stdout of ``verify`` over 2 <= n' < n, or "" if that range is empty."""
+    if n <= 2:
+        return ""
+    cli.main(["verify", "--n-max", str(n - 1), "--modes", "recurrence,closed"])
+    complete = capsys.readouterr().out
+    assert {row.split(",")[0] for row in complete.splitlines()[1:]} == set(map(str, range(2, n)))
+    return complete
+
+
 @pytest.mark.parametrize("fault", FAULTS)
 def test_a_glue_off_its_interior_form_is_refused(fault, monkeypatch, capsys):
     name, make_faulty, message = FAULTS[fault]
     monkeypatch.setattr(recurrences, name, make_faulty(getattr(recurrences, name)))
-    with pytest.raises(RuntimeError, match=message):
+    with pytest.raises(RuntimeError, match=message) as raised:
         gluing_totals(40)
+    complete = _verify_rows_before(int(re.search(r"of n = (\d+)", str(raised.value))[1]), capsys)
     code = cli.main(["verify", "--n-max", "40", "--modes", "recurrence,closed"])
     out, err = capsys.readouterr()
     assert code == 1
-    assert out == ""
+    # the rows of every n before the failing one were written first
+    assert out == complete
     line = err.removesuffix("\n")
     assert line.startswith("FAIL: ") and "\n" not in line
     assert re.match(message, line.removeprefix("FAIL: "))
@@ -256,12 +268,12 @@ def test_the_first_fault_of_the_two_chains_is_reported(case, fork, monkeypatch):
     _assert_no_child_left()
 
 
-def _dying_in_the_child(how):
+def _dying_in_the_child(how, n_from=1):
     parent = os.getpid()
 
     def fault(glue):
         def faulty(*split):
-            if os.getpid() != parent:
+            if os.getpid() != parent and sum(split[:2]) + 1 >= n_from:
                 if how == "killed":
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise ZeroDivisionError("a glue that cannot count")
@@ -277,14 +289,16 @@ def _dying_in_the_child(how):
     [("killed", "was killed by signal 9"), ("raising", "exited with status 1")],
 )
 def test_a_child_that_dies_fails_the_pass(how, ending, monkeypatch, capsys):
-    monkeypatch.setattr(recurrences, "_descents", _dying_in_the_child(how)(recurrences._descents))
+    dying = _dying_in_the_child(how, n_from=20)
+    monkeypatch.setattr(recurrences, "_descents", dying(recurrences._descents))
     message = f"the child process counting D and P {ending} before it sent its sequences"
     with pytest.raises(RuntimeError, match=f"^{message}$"):
         gluing_totals(40)
     _assert_no_child_left()
+    complete = _verify_rows_before(20, capsys)
     code = cli.main(["verify", "--n-max", "40", "--modes", "recurrence,closed"])
     out, err = capsys.readouterr()
-    assert (code, out, err) == (1, "", f"FAIL: {message}\n")
+    assert (code, out, err) == (1, complete, f"FAIL: {message}\n")
     _assert_no_child_left()
 
 
@@ -330,6 +344,36 @@ def test_a_failed_fork_leaves_no_child_or_descriptor(monkeypatch):
     assert raised.value is error
     _assert_no_child_left()
     assert len(os.listdir(fds)) == before
+
+
+def test_closing_the_stream_kills_the_child_and_leaves_no_descriptor(forked_children):
+    fds = "/proc/self/fd"
+    if not os.path.isdir(fds):
+        pytest.skip(f"open descriptors are counted from {fds}")
+    before = len(os.listdir(fds))
+    stream = recurrences.gluing_stream(2000)
+    start = time.perf_counter()
+    assert [totals["D"] for _, totals in zip(range(5), stream)] == [0, 0, 1, 2, 5]
+    stream.close()
+    # the child's chain takes seconds to reach n = 2000 unless it is killed
+    assert time.perf_counter() - start < 4
+    assert len(forked_children) == 1
+    _assert_no_child_left()
+    assert len(os.listdir(fds)) == before
+
+
+def test_the_words_of_each_n_are_counted_once_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    word_moments, counted = recurrences._word_moments, []
+
+    def counting(n, *args):
+        counted.append(n)
+        return word_moments(n, *args)
+
+    monkeypatch.setattr(recurrences, "_word_moments", counting)
+    assert gluing_totals(30) == literal_gluing_totals(30)
+    # once per n with an interior, not once per chain
+    assert counted == list(range(10, 31))
 
 
 def test_unflushed_stdout_is_written_once():
