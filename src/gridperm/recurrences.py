@@ -11,24 +11,24 @@ functional equations (1 - 2 x C) S = ... that HFE and Q4FE check.
 What the gluing adds is stated once, as derived, in one small glue
 function per statistic, not algebraically simplified, so this route
 shares nothing with the closed-form module it is checked against.  A
-glue is linear in the counts of its split: ``words`` = C_i C_j,
-``left_d`` = C_j D_i and ``right_d`` = C_i D_j.  The pass sums each
-glue once per n, not split by split.  The edge splits, i < 3 or j < 3,
-go through the glue function literally.  On the interior splits each
-weight a glue puts on a count is a polynomial in i of degree at most 2.
-The pass reads its Newton form off the glue function at i = 3, 4, 5,
-checks it at j = 3, 4, raises RuntimeError where the two differ, and
-multiplies it by the count's moments over the interior.
+glue is linear in the counts of its split, as ``COUNTS`` declares them:
+``words`` = C_i C_j, ``left_d`` = D_i C_j and ``right_d`` = C_i D_j.
+The pass sums each glue once per n, not split by split.  The edge
+splits, i < 3 or j < 3, go through the glue function literally.  On the
+interior splits each weight a glue puts on a count is a polynomial in i
+of degree at most 2.  The pass reads its Newton form off the glue
+function at i = 3, 4, 5, checks it at j = 3, 4, raises RuntimeError
+where the two differ, and multiplies it by the count's interior moments.
 
 All five totals come from one pass over n, :func:`gluing_stream`,
 which yields each n's totals once they are final; :func:`gluing_totals`
 collects it into sequences.  The pass counts the words of each n once,
 in ``_words``: the half products C_i C_j, C_n as their mirrored sum and
 the interior's three word moments, with the halving checks.  Those feed
-two chains that share nothing else: the glues of H, Q4 and J read only
-the words of a split, and D and P need the words and D.  Each chain
-keeps its own Catalan numbers, grown from the C_n it is given, and forms
-its edge splits' words from them, so the module imports no other route.
+two chains that share nothing else: H, Q4 and J hold only C, so count
+only the words, and D and P hold D too.  A glue weighs only the counts
+its chain holds.  Each chain grows its own Catalan numbers from the C_n
+it is given, so the module imports no other route.
 Where ``os.fork`` exists, the words and the D, P chain run in a forked
 child while the caller runs the other chain, so the pass takes two
 CPUs.  Per n the child sends two messages down a pipe, each a
@@ -54,7 +54,11 @@ STATISTICS = ("H", "Q4", "D", "J", "P")
 # the pass's two chains; Q4's blocks keep their totals less J, so Q4
 # and J share one
 CHAINS = (("H", "Q4", "J"), ("D", "P"))
-COUNTS = ("words", "left_d", "right_d")
+# the counts a glue takes, in order, each the left block's sequence at
+# i times the right block's at j; UNITS sets one count to 1
+COUNTS = {"words": ("C", "C"), "left_d": ("D", "C"), "right_d": ("C", "D")}
+UNITS = {count: tuple(int(other == count) for other in COUNTS) for count in COUNTS}
+UNHELD = "{} glue weighs {} {} of n = {}, which its chain does not count"
 # splits with i < EDGE or j < EDGE are summed literally; so is every
 # split of an n with fewer than MIN_INTERIOR splits between them
 EDGE = 3
@@ -97,7 +101,7 @@ def _descents(i: int, j: int, words: int, left_d: int, right_d: int) -> int:
 
     A left block of size 1 (its top value, then the minimum) forces a
     descent in all ``words`` of the split; a longer left block descends
-    iff it does itself, which ``left_d`` = C_j D_i counts.
+    iff it does itself, which ``left_d`` = D_i C_j counts.
     """
     if i == 1:
         return words
@@ -115,7 +119,7 @@ def _new_peaks(i: int, j: int, words: int, left_d: int, right_d: int) -> int:
     The last column of a left block (i >= 2) becomes a peak iff the
     block ends with an ascent, and the first column of a right block
     (j >= 2) iff the block starts with a descent.  Final ascents obey
-    D's recurrence with the blocks swapped, so ``left_d`` = C_j D_i
+    D's recurrence with the blocks swapped, so ``left_d`` = D_i C_j
     counts the first kind and ``right_d`` = C_i D_j the second.
     """
     return (left_d if i >= 2 else 0) + (right_d if j >= 2 else 0)
@@ -152,17 +156,17 @@ def _word_moments(n: int, half: list[int], words: int) -> tuple[int, int, int]:
 def _interior_glue(name: str, glue, n: int, moments) -> int:
     """``glue`` summed over the interior splits of n, EDGE <= i, j.
 
-    ``moments`` holds, for each of ``COUNTS``, the sums over the
-    interior of that count times binom(k, r), k = i - EDGE, for
-    r = 0, 1, ...  A count's weight is read off ``glue`` with that count
-    1 and the others 0, at k = 0, 1, 2, as the Newton form
+    ``moments`` holds, by the sequences of each count the chain holds,
+    the sums over the interior of that count times binom(k, r),
+    k = i - EDGE, r = 0, 1, ...  A count's weight is read off ``glue``
+    at its ``UNITS`` at k = 0, 1, 2, as the Newton form
     (g_0, Delta, Delta^2) of a quadratic in k, and checked at
-    j = EDGE, EDGE + 1.  A weight off that quadratic, or one that needs
-    a moment the count lacks, raises RuntimeError; a count with no
-    moments is one the chain does not count, and must weigh 0.
+    j = EDGE, EDGE + 1.  RuntimeError is raised for a weight off that
+    quadratic, needing a moment the count lacks, or on an unheld count.
     """
     total = 0
-    for count, unit, count_moments in zip(COUNTS, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), moments):
+    for count, unit in UNITS.items():
+        count_moments = moments.get(COUNTS[count], ())
         g0, g1, g2 = (glue(i, n - 1 - i, *unit) for i in range(EDGE, EDGE + 3))
         newton = (g0, g1 - g0, g2 - 2 * g1 + g0)
         for i in (n - 1 - EDGE, n - 2 - EDGE):
@@ -175,12 +179,11 @@ def _interior_glue(name: str, glue, n: int, moments) -> int:
                     f"of n = {n}, not by {expected} as read at i = {EDGE}..{EDGE + 2}"
                 )
         if any(newton[len(count_moments) :]):
+            if not count_moments:
+                raise RuntimeError(UNHELD.format(name, count, "on the interior", n))
             raise RuntimeError(
                 f"{name} glue weighs {count} by a nonconstant on the interior of "
                 f"n = {n}, where the pass sums {count} only in total"
-                if count_moments
-                else f"{name} glue weighs {count} on the interior of n = {n}, "
-                "which its chain does not count"
             )
         total += sum(map(mul, newton, count_moments))
     return total
@@ -221,16 +224,16 @@ def _chain(statistics: tuple[str, ...]):
     -1.  So the least failure of the two chains is the one a single pass
     over all five would meet first.
 
-    The chain forms the edge splits' words from its own Catalan
-    numbers, which grow by the C_n of each record.  It counts C_j D_i
-    and C_i D_j only if it holds D; a chain without D checks that its
-    glues weigh neither, at each edge split and through the Newton read
-    on the interior.
+    The chain holds C, grown by each record's C_n, and those of its
+    statistics that ``COUNTS`` reads.  On the interior it takes the
+    words' moments from the record and any other count's total from one
+    convolution per mirror pair.  A count it does not hold must weigh 0.
     """
     glues = dict(zip(STATISTICS, (_h_glue, _q4_shift, _descents, _internal_min, _new_peaks)))
-    counts_d = "D" in statistics
-    cat = [1]  # C_0 .. C_{n-1} while n is summed
-    d = [0]  # D_0 .. D_{n-1}, all 0 in a chain without D
+    read = {name for pair in COUNTS.values() for name in pair}
+    seqs = {"C": [1], **{name: [0] for name in statistics if name in read}}
+    held = {count: pair for count, pair in COUNTS.items() if seqs.keys() >= set(pair)}
+    unheld = [(count, unit) for count, unit in UNITS.items() if count not in held]
     # every word keeps both blocks' own edges, degree-4 vertices (less
     # one at an internal block minimum) and peaks: summed over all
     # splits, sum_i (C_j S_i + C_i S_j) = 2 sum_i C_j S_i
@@ -239,38 +242,35 @@ def _chain(statistics: tuple[str, ...]):
     def step(n, catalan, moments):
         edges = (*range(EDGE), *range(n - EDGE, n)) if moments else range(n)
         splits = [
-            (i, n - 1 - i, cat[i] * cat[n - 1 - i], cat[n - 1 - i] * d[i], cat[i] * d[n - 1 - i])
+            (i, n - 1 - i, *(seqs[a][i] * seqs[b][n - 1 - i] if count in held else 0
+                             for count, (a, b) in COUNTS.items()))
             for i in edges
         ]
         if moments:
-            # sum_i C_j D_i is the total of left_d and, read backwards,
-            # of right_d; the interior is its own mirror, so the two
-            # have one interior total
-            inner_d = ()
-            if counts_d:
-                inner_d = (sum(map(mul, reversed(cat), d)) - sum(split[3] for split in splits),)
-            moments = (moments, inner_d, inner_d)
+            # a count and its mirror have one interior total: the interior is its own mirror
+            moments = {("C", "C"): moments}
+            for pair in held.values():
+                if pair not in moments:
+                    left, right = (seqs[name][EDGE : n - EDGE] for name in pair)
+                    moments[pair] = moments[pair[::-1]] = (sum(map(mul, left, reversed(right))),)
         totals = {}
         for name in statistics:
             rank, glue = STATISTICS.index(name), glues[name]
+            for count, unit in unheld:
+                for i, j, *_ in splits:
+                    if glue(i, j, *unit):
+                        return None, (rank, UNHELD.format(name, count, f"at split ({i}, {j})", n))
             try:
-                if not counts_d:
-                    for i, j, *_ in splits:
-                        if glue(i, j, 0, 1, 0) or glue(i, j, 0, 0, 1):
-                            raise RuntimeError(
-                                f"{name} glue weighs left_d or right_d at split ({i}, {j}) "
-                                f"of n = {n}, which its chain does not count"
-                            )
                 total = sum(glue(*split) for split in splits)
                 if moments:
                     total += _interior_glue(name, glue, n, moments)
             except RuntimeError as error:
                 return None, (rank, str(error))
             if name in kept:
-                total += 2 * sum(map(mul, reversed(cat), kept[name]))
+                total += 2 * sum(map(mul, reversed(seqs["C"]), kept[name]))
             totals[name] = total
-        cat.append(catalan)
-        d.append(totals.get("D", 0))
+        for name, seq in seqs.items():
+            seq.append(totals.get(name, catalan))  # C is no statistic
         for name, history in kept.items():
             history.append(totals[name] - totals["J"] if name == "Q4" else totals[name])
         return totals, None

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import inspect
 import math
 import os
 import re
@@ -119,10 +120,13 @@ def _cubic_from(n_from):
     return fault
 
 
-def _off_by_one_at(j_off):
+def _adds(count, at=lambda i, j: True):
+    """A fault that adds ``count`` to a glue at the splits (i, j) that ``at`` takes."""
+    place = list(recurrences.COUNTS).index(count)
+
     def fault(glue):
-        def faulty(i, j, words, left_d, right_d):
-            return glue(i, j, words, left_d, right_d) + (left_d if j == j_off else 0)
+        def faulty(i, j, *counts):
+            return glue(i, j, *counts) + (counts[place] if at(i, j) else 0)
 
         return faulty
 
@@ -136,27 +140,17 @@ def _linear_in_left_d(glue):
     return faulty
 
 
-def _weighs_d_counts(glue):
-    def faulty(i, j, words, left_d, right_d):
-        return glue(i, j, words, left_d, right_d) + left_d
-
-    return faulty
+def _inside(i, j):
+    """The interior splits of every n >= 10, the first n with an interior."""
+    return min(i, j) >= 3 and i + j >= 9
 
 
-def _weighs_right_d_inside(glue):
-    def faulty(i, j, words, left_d, right_d):
-        inside = min(i, j) >= 3 and i + j >= 9
-        return glue(i, j, words, left_d, right_d) + (right_d if inside else 0)
-
-    return faulty
-
-
-# the first four faults are found at n = 10, the first n with an
+# the first five faults are found at n = 10, the first n with an
 # interior, whose splits are i = 3..6: off the quadratic read at
-# i = 3, 4, 5 (with the fault at j = 4, the read itself is off), or of
-# degree 1 in a count that the pass sums only in total.  The last two
-# give H, whose chain does not count D, a weight on left_d or right_d:
-# at an edge split of n = 1, or on the interior of n = 10.
+# i = 3, 4, 5 (with the fault at j = 4 or i = 3, the read itself is
+# off), or of degree 1 in a count that the pass sums only in total.
+# The last four give H, whose chain holds no D, a weight on left_d or
+# right_d: at an edge split of n = 1, or on the interior of n = 10.
 FAULTS = {
     "H cubic": (
         "_h_glue",
@@ -165,12 +159,17 @@ FAULTS = {
     ),
     "P at j = 3": (
         "_new_peaks",
-        _off_by_one_at(3),
+        _adds("left_d", lambda i, j: j == 3),
         r"^P glue weighs left_d by 2 at split \(6, 3\) of n = 10, not by 1 ",
+    ),
+    "P off its quadratic in right_d": (
+        "_new_peaks",
+        _adds("right_d", lambda i, j: i == 3 and _inside(i, j)),
+        r"^P glue weighs right_d by 1 at split \(6, 3\) of n = 10, not by 2 ",
     ),
     "D at j = 4": (
         "_descents",
-        _off_by_one_at(4),
+        _adds("left_d", lambda i, j: j == 4),
         r"^D glue weighs left_d by 1 at split \(6, 3\) of n = 10, not by 4 ",
     ),
     "D linear in left_d": (
@@ -180,15 +179,39 @@ FAULTS = {
     ),
     "H weighs left_d": (
         "_h_glue",
-        _weighs_d_counts,
-        r"^H glue weighs left_d or right_d at split \(0, 0\) of n = 1, which its chain ",
+        _adds("left_d"),
+        r"^H glue weighs left_d at split \(0, 0\) of n = 1, which its chain does not count$",
+    ),
+    "H weighs right_d": (
+        "_h_glue",
+        _adds("right_d"),
+        r"^H glue weighs right_d at split \(0, 0\) of n = 1, which its chain does not count$",
+    ),
+    "H weighs left_d inside": (
+        "_h_glue",
+        _adds("left_d", _inside),
+        r"^H glue weighs left_d on the interior of n = 10, which its chain does not count$",
     ),
     "H weighs right_d inside": (
         "_h_glue",
-        _weighs_right_d_inside,
+        _adds("right_d", _inside),
         r"^H glue weighs right_d on the interior of n = 10, which its chain does not count$",
     ),
 }
+
+
+def test_the_glues_take_the_declared_counts_in_order():
+    # the pass and literal_gluing_totals call every glue positionally,
+    # so its parameters after (i, j) must be COUNTS, in order
+    glues = [
+        function
+        for function in vars(recurrences).values()
+        if inspect.isfunction(function)
+        and list(inspect.signature(function).parameters)[:2] == ["i", "j"]
+    ]
+    assert len(glues) == len(recurrences.STATISTICS)
+    for glue in glues:
+        assert list(inspect.signature(glue).parameters) == ["i", "j", *recurrences.COUNTS]
 
 
 def _verify_rows_before(n, capsys):
