@@ -8,10 +8,16 @@ pop to the output on a down-step) gives a 312-avoider, one per path;
 its reversal is the 213-avoider.
 
 The placement comes from one ``getrandbits(2n+1)``, a uniform subset of
-the steps.  A fix-up brings it to exactly n up-steps by flipping steps
-of the surplus kind, each picked uniformly.  The rule commutes with
-every permutation of the steps, so the placement stays exactly uniform
-(see ``sample_av213``); about sqrt(n/pi) steps are flipped on average.
+the steps.  A fix-up brings it to exactly n up-steps by flipping bits
+of the surplus kind in that integer, each picked uniformly.  The rule
+commutes with every permutation of the steps, so the placement stays
+exactly uniform (see ``sample_av213``); about sqrt(n/pi) steps are
+flipped on average.  A pick is ``getrandbits((2n+1).bit_length())``,
+drawn again while it is 2n+1 or more.  These are the very calls that
+``randrange(2n+1)`` makes on CPython 3.10 to 3.13, so each seed draws
+the words that ``randrange`` picks drew and ``GENERATOR_NAME`` stays as
+it is; the stream rests on ``getrandbits`` alone.  The steps are
+rendered as a string once, after the fix-up.
 The first lowest point of the walk is read off a byte at a time from a
 256-entry table.  A draw takes O(n) time and memory, uses no floating
 point and needs no recursion.
@@ -75,14 +81,13 @@ def _lowest_point(x: int, m: int) -> int:
     data = ((x << pad) | ((1 << pad) - 1)).to_bytes((m + pad) // 8, "big")
     height = 0
     lowest = m
-    at = base = 0
-    for byte in data:
+    at = 0
+    for chunk, byte in enumerate(data):
         net, low, first = _CHUNKS[byte]
         if height + low < lowest:
             lowest = height + low
-            at = base + first
+            at = 8 * chunk + first
         height += net
-        base += 8
     return at
 
 
@@ -90,32 +95,40 @@ def sample_av213(n: int, rng: random.Random) -> tuple[int, ...]:
     """One permutation distributed exactly uniformly on Av_n(213).
 
     ``x = rng.getrandbits(2n+1)`` marks a uniform subset of the steps as
-    up-steps.  While it holds k != n of them, one position is drawn by
-    ``rng.randrange(2n+1)`` and flipped if it is of the surplus kind; a
-    pick of the other kind is drawn again.  This rule commutes with
-    every permutation of the 2n+1 positions and x is uniform, so the
-    result is invariant under the symmetric group, which acts
-    transitively on n-subsets: every placement of the up-steps is
-    exactly equally likely, and each member of the class is the image of
-    exactly 2n+1 placements.  About sqrt(n/pi) flips and twice as many
-    picks are expected.
+    up-steps: step i is bit 2n - i, 1 up and 0 down.  While it holds
+    k != n of them, a position i is drawn uniformly from 0..2n and
+    flipped if it is of the surplus kind; a pick of the other kind is
+    drawn again.  This rule commutes with every permutation of the 2n+1
+    positions and x is uniform, so the result is invariant under the
+    symmetric group, which acts transitively on n-subsets: every
+    placement of the up-steps is exactly equally likely, and each member
+    of the class is the image of exactly 2n+1 placements.  About
+    sqrt(n/pi) flips and twice as many picks are expected.
+
+    A pick is ``rng.getrandbits(w)`` with w = (2n+1).bit_length(), drawn
+    again while it is 2n+1 or more: the calls that
+    ``rng.randrange(2n+1)`` makes on CPython 3.10 to 3.13, so each seed
+    draws the words it drew by ``randrange``.  ``rng`` needs only a
+    ``getrandbits`` method.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     m = 2 * n + 1
-    x = rng.getrandbits(m)
-    # step i is the character of bit m-1-i: "1" (49) up, "0" (48) down
-    steps = bytearray(format(x, f"0{m}b"), "ascii")
+    getrandbits = rng.getrandbits
+    x = getrandbits(m)
     k = x.bit_count()
     if k != n:
-        surplus, other = (49, 48) if k > n else (48, 49)
+        # a surplus step's bit reads 1 if there are too many up-steps
+        surplus = 1 if k > n else 0
         flips = abs(k - n)
+        w = m.bit_length()
         while flips:
-            i = rng.randrange(m)
-            if steps[i] == surplus:
-                steps[i] = other
+            i = getrandbits(w)
+            if i < m and x >> (m - 1 - i) & 1 == surplus:
+                x ^= 1 << (m - 1 - i)
                 flips -= 1
-        x = int(steps, 2)
+    # step i is character i: "1" up, "0" down
+    steps = bin(x | 1 << m)[3:]
     # the path starts just after the first lowest point; the last
     # step of the rotation, steps[start - 1], is the trailing down-step
     start = _lowest_point(x, m) + 1
@@ -126,7 +139,7 @@ def sample_av213(n: int, rng: random.Random) -> tuple[int, ...]:
     emit = word.append
     value = 0
     for step in steps[start:] + steps[: start - 1]:
-        if step == 49:
+        if step == "1":
             value += 1
             push(value)
         else:

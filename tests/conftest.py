@@ -18,6 +18,7 @@ import pytest
 
 from gridperm import aggregate_brute, recurrences, series
 from gridperm.permutations import check_permutation
+from gridperm.sampler import _lowest_point
 
 FILTER_CAP = 8
 
@@ -186,6 +187,51 @@ def placement_word(n, placement):
             stack.append(value)
         else:
             word.append(stack.pop())
+    word.reverse()
+    return tuple(word)
+
+
+def reference_draw(n, rng):
+    """One draw of the sampler as it ran with ``rng.randrange`` picks.
+
+    The oracle for the seeded stream: the fix-up runs on a bytearray of
+    "1"/"0" characters and draws each pick by ``rng.randrange(2n+1)``.
+    ``sample_av213`` must return the same word and leave ``rng`` in the
+    same state.  The lowest point comes from production's
+    ``_lowest_point``, which ``test_table_lowest_point_matches_heights``
+    checks on its own.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    m = 2 * n + 1
+    x = rng.getrandbits(m)
+    # step i is the character of bit m-1-i: "1" (49) up, "0" (48) down
+    steps = bytearray(format(x, f"0{m}b"), "ascii")
+    k = x.bit_count()
+    if k != n:
+        surplus, other = (49, 48) if k > n else (48, 49)
+        flips = abs(k - n)
+        while flips:
+            i = rng.randrange(m)
+            if steps[i] == surplus:
+                steps[i] = other
+                flips -= 1
+        x = int(steps, 2)
+    # the path starts just after the first lowest point; the last
+    # step of the rotation, steps[start - 1], is the trailing down-step
+    start = _lowest_point(x, m) + 1
+    stack = []
+    push = stack.append
+    pop = stack.pop
+    word = []
+    emit = word.append
+    value = 0
+    for step in steps[start:] + steps[: start - 1]:
+        if step == 49:
+            value += 1
+            push(value)
+        else:
+            emit(pop())
     word.reverse()
     return tuple(word)
 

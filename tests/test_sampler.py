@@ -11,7 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import contains_213, first_lowest_point, placement_steps, placement_word
+from conftest import (
+    contains_213,
+    first_lowest_point,
+    placement_steps,
+    placement_word,
+    reference_draw,
+)
 from gridperm import (
     empirical_report,
     enumerate_av213,
@@ -46,8 +52,13 @@ def placement_bits(n, placement):
 
 
 class ScriptedRng:
-    """Stands in for ``random.Random``: ``getrandbits`` returns ``x`` and
-    ``randrange`` returns ``picks`` in order, raising once they run out."""
+    """Stands in for ``random.Random``: ``getrandbits`` returns ``x``, then
+    ``picks`` in order, raising once they run out.
+
+    The script goes by call order: the placement (2n+1 bits) first, then
+    each pick ((2n+1).bit_length() bits).  At n = 0 both widths are 1, so
+    the width alone cannot tell a pick from the placement.
+    """
 
     def __init__(self, n, x, picks=()):
         self.n = n
@@ -55,14 +66,17 @@ class ScriptedRng:
         self.picks = list(picks)
 
     def getrandbits(self, k):
-        assert k == 2 * self.n + 1
-        return self.x
-
-    def randrange(self, stop):
-        assert stop == 2 * self.n + 1
+        m = 2 * self.n + 1
+        if self.x is not None:
+            assert k == m
+            x, self.x = self.x, None
+            return x
+        assert k == m.bit_length()
         if not self.picks:
             raise AssertionError("fix-up asked for a pick that was not scripted")
-        return self.picks.pop(0)
+        pick = self.picks.pop(0)
+        assert 0 <= pick < 1 << k, pick
+        return pick
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -84,8 +98,10 @@ def test_every_placement_maps_onto_the_class_evenly(n):
         ((0, 1, 2, 4, 6, 8, 9), (3, 4, 4, 9), (0, 1, 2, 6, 8)),
         # k = n - 1: 5 is already an up-step
         ((1, 5, 7, 10), (5, 0), (0, 1, 5, 7, 10)),
+        # k = n - 1: 11 and 15 fit the 4-bit pick but lie past the 11 steps
+        ((1, 5, 7, 10), (11, 15, 0), (0, 1, 5, 7, 10)),
     ],
-    ids=["surplus", "deficit"],
+    ids=["surplus", "deficit", "redrawn"],
 )
 def test_fixup_skips_picks_of_the_wrong_kind(ups, picks, final):
     n = 5
@@ -124,6 +140,27 @@ def test_fixup_placement_is_exactly_uniform(n):
     placements = {frozenset(c) for c in itertools.combinations(range(m), n)}
     assert set(mass) == placements
     assert set(mass.values()) == {Fraction(1, math.comb(m, n))}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 40, 1000])
+def test_draws_keep_the_randrange_stream(n):
+    for seed in (SEED, 5, 11):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(20 if n == 1000 else 200):
+            assert sample_av213(n, rng) == reference_draw(n, reference)
+            assert rng.getstate() == reference.getstate()
+
+
+def test_draws_need_no_randrange(monkeypatch):
+    reference = random.Random(SEED)
+    expected = [reference_draw(40, reference) for _ in range(200)]
+
+    def refuse(self, *args):
+        raise AssertionError("sample_av213 called randrange")
+
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    rng = random.Random(SEED)
+    assert [sample_av213(40, rng) for _ in range(200)] == expected
 
 
 def _placements_for_lowest_point(n):
