@@ -4,10 +4,12 @@
 as its n is computed, so memory does not grow with the range.
 ``verify`` reads the recurrence route from ``recurrences.gluing_stream``,
 so its rows of one n are written while the forked child counts the
-next.  When an exact check fails mid-range, recurrence checks included,
-the complete rows already written stay on stdout and the ``FAIL:`` line
-follows on stderr; a reader that closes stdout early stops the work at
-the next flush of stdout's buffer, and the stream's child with it.
+next.  Every check raises where it fails, and the run ends there: an
+exact check, recurrence checks included, before the rows of its n; a
+mismatch between routes after them.  The complete rows already written
+stay on stdout and the ``FAIL:`` line follows on stderr; a reader that
+closes stdout early stops the work at the next flush of stdout's
+buffer, and the stream's child with it.
 
 Handlers return nothing; ``main`` alone turns each outcome into an
 exit code.  0 on success.  1 when a check fails, which the handler or
@@ -99,19 +101,20 @@ def _mode_values(mode, n, n_max, recurrence):
     return closed_forms.closed_aggregate(n) if n >= 2 else {}
 
 
-def _comparisons(modes, n_min, n_max, mismatches):
+def _comparisons(modes, n_min, n_max):
     """Yield one row per (n, statistic, mode pair), one n at a time.
 
     Every route computes each n when its rows are due; the recurrence
     route reads it from one gluing stream over 0..n_max, which is closed
-    when this generator ends or is closed.  The first unequal row is
-    appended to ``mismatches``.
+    when this generator ends or is closed.  After the rows of an n with
+    an unequal row, RuntimeError names the first.
     """
     stream = recurrences.gluing_stream(n_max) if "recurrence" in modes else None
     recurrence = itertools.islice(stream, n_min, None) if stream else None
     try:
         for n in range(n_min, n_max + 1):
             values = {mode: _mode_values(mode, n, n_max, recurrence) for mode in modes}
+            mismatch = None
             for stat in STAT_ORDER:
                 for lhs_mode, rhs_mode in itertools.combinations(modes, 2):
                     lhs, rhs = values[lhs_mode], values[rhs_mode]
@@ -125,9 +128,15 @@ def _comparisons(modes, n_min, n_max, mismatches):
                         "lhs": lhs[stat],
                         "rhs": rhs[stat],
                     }
-                    if not row["equal"] and not mismatches:
-                        mismatches.append(row)
+                    if not (row["equal"] or mismatch):
+                        mismatch = row
                     yield row
+            if mismatch:
+                raise RuntimeError(
+                    f"first mismatch at n={n}, statistic={mismatch['statistic']} "
+                    f"({mismatch['modes']}): lhs={mismatch['lhs']}, rhs={mismatch['rhs']}, "
+                    f"lhs - rhs={mismatch['lhs'] - mismatch['rhs']}"
+                )
     finally:
         if stream:
             stream.close()
@@ -148,8 +157,7 @@ def cmd_verify(args) -> None:
             f"brute mode requested up to n={args.n_max}, beyond the cap {DEFAULT_BRUTE_CAP}; "
             f"lower --n-max or pass --force"
         )
-    mismatches = []
-    rows = _comparisons(modes, args.n_min, args.n_max, mismatches)
+    rows = _comparisons(modes, args.n_min, args.n_max)
     try:
         first = next(rows, None)  # refuse before anything reaches stdout
         if first is None:
@@ -160,13 +168,6 @@ def cmd_verify(args) -> None:
         _emit(itertools.chain([first], rows), args.format)
     finally:
         rows.close()  # ends the gluing stream's child, however the rows end
-    if mismatches:
-        row = mismatches[0]
-        raise RuntimeError(
-            f"first mismatch at n={row['n']}, statistic={row['statistic']} "
-            f"({row['modes']}): lhs={row['lhs']}, rhs={row['rhs']}, "
-            f"lhs - rhs={row['lhs'] - row['rhs']}"
-        )
 
 
 def _table_rows(n_min, n_max):

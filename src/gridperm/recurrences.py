@@ -35,12 +35,16 @@ CPUs.  Per n the child sends two messages down a pipe, each a
 ``marshal`` dump after its length and flushed at once: first the words
 of n, then its D and P.  So the caller sums H, Q4 and J of n while the
 child sums D and P of n, and the caller's rows of n are written while
-the child counts n + 1.  A failed check is sent in place of the message
-it stops, and ends the child.  Without ``os.fork`` one process feeds
-the same words to both chains.  The child's whole life, from the fork
-to its ``os._exit`` and its reaping, reads top to bottom in
-:func:`gluing_stream`.  The caller's own peak RSS (RUSAGE_SELF, which
-the benchmark's ``peak_rss_mb`` reads) does not count the child's.
+the child counts n + 1.  Without ``os.fork`` the caller reads the same
+messages straight from the generator the child sends them from.  Every
+check raises RuntimeError where it fails; the child sends the message
+of its failed check in place of the message it stops, and the caller
+raises it.  So within one n both transports report in ``CHAINS``
+order: the words, then H, Q4 and J, then D and P.  The child's whole
+life, from the fork to its ``os._exit`` and its reaping, reads top to
+bottom in :func:`gluing_stream`.  The caller's own peak RSS
+(RUSAGE_SELF, which the benchmark's ``peak_rss_mb`` reads) does not
+count the child's.
 """
 
 from __future__ import annotations
@@ -192,10 +196,10 @@ def _interior_glue(name: str, glue, n: int, moments) -> int:
 def _words(n_max: int):
     """The words of each n, 1 <= n <= n_max, counted once for both chains.
 
-    Yields ((n, C_n, moments), None): C_n is the sum of the split
-    products C_i C_j, and ``moments`` the interior's word moments, or
-    None for an n summed wholly split by split.  A failed halving check
-    yields (None, (-1, message)) and ends the words.
+    Yields (n, C_n, moments): C_n is the sum of the split products
+    C_i C_j, and ``moments`` the interior's word moments, or None for an
+    n summed wholly split by split.  A failed halving check raises
+    RuntimeError.
     """
     cat = [1]  # C_0 .. C_{n-1}; C_n is appended once the words of n are counted
     for n in range(1, n_max + 1):
@@ -205,24 +209,17 @@ def _words(n_max: int):
         cat.append(2 * sum(half[: n // 2]) + (half[-1] if n % 2 else 0))
         moments = None
         if n - 2 * EDGE >= MIN_INTERIOR:
-            try:
-                # the edge splits are i < EDGE and their mirrors
-                moments = _word_moments(n, half, cat[n] - 2 * sum(half[:EDGE]))
-            except RuntimeError as error:
-                yield None, (-1, str(error))
-                return
-        yield (n, cat[n], moments), None
+            # the edge splits are i < EDGE and their mirrors
+            moments = _word_moments(n, half, cat[n] - 2 * sum(half[:EDGE]))
+        yield n, cat[n], moments
 
 
 def _chain(statistics: tuple[str, ...]):
     """One chain of the pass, as a step over the words of n = 1, 2, ...
 
     ``step(n, catalan, moments)`` takes a record of ``_words`` and
-    returns (totals, None), the chain's totals at n keyed by statistic,
-    or (None, (rank, message)) for its first failed check.  rank is the
-    statistic's place in ``STATISTICS``; the words' halving checks rank
-    -1.  So the least failure of the two chains is the one a single pass
-    over all five would meet first.
+    returns the chain's totals at n keyed by statistic; its first failed
+    check raises RuntimeError.
 
     The chain holds C, grown by each record's C_n, and those of its
     statistics that ``COUNTS`` reads.  On the interior it takes the
@@ -255,17 +252,14 @@ def _chain(statistics: tuple[str, ...]):
                     moments[pair] = moments[pair[::-1]] = (sum(map(mul, left, reversed(right))),)
         totals = {}
         for name in statistics:
-            rank, glue = STATISTICS.index(name), glues[name]
+            glue = glues[name]
             for count, unit in unheld:
                 for i, j, *_ in splits:
                     if glue(i, j, *unit):
-                        return None, (rank, UNHELD.format(name, count, f"at split ({i}, {j})", n))
-            try:
-                total = sum(glue(*split) for split in splits)
-                if moments:
-                    total += _interior_glue(name, glue, n, moments)
-            except RuntimeError as error:
-                return None, (rank, str(error))
+                        raise RuntimeError(UNHELD.format(name, count, f"at split ({i}, {j})", n))
+            total = sum(glue(*split) for split in splits)
+            if moments:
+                total += _interior_glue(name, glue, n, moments)
             if name in kept:
                 total += 2 * sum(map(mul, reversed(seqs["C"]), kept[name]))
             totals[name] = total
@@ -273,26 +267,20 @@ def _chain(statistics: tuple[str, ...]):
             seq.append(totals.get(name, catalan))  # C is no statistic
         for name, history in kept.items():
             history.append(totals[name] - totals["J"] if name == "Q4" else totals[name])
-        return totals, None
+        return totals
 
     return step
 
 
-def _checked(message):
-    """The payload of a (payload, fault) message; a fault raises RuntimeError."""
-    payload, fault = message
-    if fault:
-        raise RuntimeError(fault[1])
-    return payload
+def _theirs(n_max: int, step):
+    """Per n = 1 .. n_max, the words of n, then ``step``'s totals of them.
 
-
-def _merged(ours, theirs) -> dict[str, int]:
-    """The five totals at n from the two chains' steps, or their first fault raised."""
-    faults = [fault for _, fault in (ours, theirs) if fault]
-    if faults:
-        raise RuntimeError(min(faults)[1])
-    totals = {**ours[0], **theirs[0]}
-    return {name: totals[name] for name in STATISTICS}
+    These are the messages the forked child sends; without the fork the
+    caller reads them here.  A failed check raises where it is met.
+    """
+    for words in _words(n_max):
+        yield words
+        yield step(*words)
 
 
 def _send(pipe, message) -> None:
@@ -303,12 +291,20 @@ def _send(pipe, message) -> None:
     pipe.flush()
 
 
-def _receive(pipe):
-    """The child's next message; EOFError if it closed the pipe first."""
-    header = pipe.read(4)
-    if len(header) < 4:
-        raise EOFError
-    return marshal.loads(pipe.read(int.from_bytes(header, "little")))
+def _received(pipe):
+    """The child's messages, as ``_send`` wrote them.
+
+    A str is a failed check's message, raised as RuntimeError; a pipe
+    the child closed first raises EOFError.
+    """
+    while True:
+        header = pipe.read(4)
+        if len(header) < 4:
+            raise EOFError
+        message = marshal.loads(pipe.read(int.from_bytes(header, "little")))
+        if isinstance(message, str):
+            raise RuntimeError(message)
+        yield message
 
 
 def gluing_stream(n_max: int):
@@ -331,15 +327,14 @@ def gluing_stream(n_max: int):
     first n counts the words and runs the D, P chain; per n it sends
     down a pipe the words, then its D and P, each message as soon as it
     is made, while this process runs H, Q4 and J on the words it reads.
-    Elsewhere one process feeds the words to both chains in turn.  A
-    failed fork closes the pipe and raises the fork's own error.  Of
-    two failed checks at one n it raises the one a single pass over all
-    five would meet first, in ``STATISTICS`` order.  A child that ends
-    before it sends what its n needs, say by a signal, raises
-    RuntimeError naming how it ended.  Once the stream ends, however it
-    ends, closed early included, the child is killed unless it was
-    reaped already, and reaped; this process's peak RSS does not count
-    the child's.
+    Elsewhere this process reads the same messages from ``_theirs``.  A
+    failed fork closes the pipe and raises the fork's own error.  Either
+    way the first failed check, at the least n and within it in
+    ``CHAINS`` order, raises RuntimeError.  A child that ends before it
+    sends what its n needs, say by a signal, raises RuntimeError naming
+    how it ended.  Once the stream ends, however it ends, closed early
+    included, the child is killed unless it was reaped already, and
+    reaped; this process's peak RSS does not count the child's.
 
     >>> [totals["H"] for totals in gluing_stream(5)]
     [0, 0, 2, 14, 76, 374]
@@ -348,45 +343,41 @@ def gluing_stream(n_max: int):
         raise ValueError(f"n_max={n_max} is negative")
     yield dict.fromkeys(STATISTICS, 0)
     ours, theirs = map(_chain, CHAINS)
-    if not hasattr(os, "fork"):
-        for words in _words(n_max):
-            record = _checked(words)
-            yield _merged(ours(*record), theirs(*record))
-        return
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if not pid:
-        # the child leaves by os._exit: it runs no exit handler and
-        # flushes none of the stdio buffers it inherited, so text this
-        # process had not yet written is written once, by this process
-        status = 1
+    pid = pipe = None
+    if hasattr(os, "fork"):
+        read_end, write_end = os.pipe()
         try:
+            pid = os.fork()
+        except BaseException:
             os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                for words in _words(n_max):
-                    _send(pipe, words)
-                    if words[1]:
-                        break
-                    step = theirs(*words[0])
-                    _send(pipe, step)
-                    if step[1]:
-                        break
-            status = 0
-        except Exception:
-            sys.excepthook(*sys.exc_info())  # the parent reports only the exit status
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    pipe = open(read_end, "rb")
+            os.close(write_end)
+            raise
+        if not pid:
+            # the child leaves by os._exit: it runs no exit handler and
+            # flushes none of the stdio buffers it inherited, so text this
+            # process had not yet written is written once, by this process
+            status = 1
+            try:
+                os.close(read_end)
+                with open(write_end, "wb") as pipe:
+                    try:
+                        for message in _theirs(n_max, theirs):
+                            _send(pipe, message)
+                    except RuntimeError as error:
+                        _send(pipe, str(error))
+                status = 0
+            except Exception:
+                sys.excepthook(*sys.exc_info())  # the parent reports only the exit status
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        pipe = open(read_end, "rb")
+    messages = _received(pipe) if pipe else _theirs(n_max, theirs)
     try:
         for _ in range(n_max):
-            record = _checked(_receive(pipe))
-            yield _merged(ours(*record), _receive(pipe))
+            totals = ours(*next(messages))
+            totals.update(next(messages))
+            yield {name: totals[name] for name in STATISTICS}
     except EOFError:
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         pid = None
@@ -406,7 +397,8 @@ def gluing_stream(n_max: int):
 
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        pipe.close()
+        if pipe:
+            pipe.close()
 
 
 def gluing_totals(n_max: int) -> dict[str, list[int]]:

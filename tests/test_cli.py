@@ -251,6 +251,37 @@ def test_a_failed_exact_check_mid_range_keeps_the_complete_rows(capsys, monkeypa
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_mismatch_ends_verify_after_the_rows_of_its_n(capsys, monkeypatch, fmt):
+    code, through, _ = run_cli(capsys, "verify", "--n-max", "4", "--format", fmt)
+    assert code == 0
+    exact = closed_forms.closed_aggregate
+
+    def off_at_4(n):
+        row = exact(n)
+        return {**row, "H": row["H"] + (n == 4)}
+
+    monkeypatch.setattr(closed_forms, "closed_aggregate", off_at_4)
+    code, out, err = run_cli(capsys, "verify", "--n-max", "6", "--format", fmt)
+    assert code == 1
+    assert err == (
+        "FAIL: first mismatch at n=4, statistic=H (recurrence/closed): "
+        "lhs=76, rhs=77, lhs - rhs=-1\n"
+    )
+    # the rows through n = 4, its unequal one included; as JSON the list
+    # is left unclosed
+    if fmt == "csv":
+        unequal = ("4,H,recurrence/closed,True,76,76\n", "4,H,recurrence/closed,False,76,77\n")
+    else:
+        through = through.removesuffix("\n]\n")
+        unequal = tuple(
+            f'"equal": {equal},\n    "lhs": 76,\n    "rhs": {rhs}'
+            for equal, rhs in (("true", 76), ("false", 77))
+        )
+    assert through.count(unequal[0]) == 1
+    assert out == through.replace(*unequal)
+
+
 @pytest.mark.parametrize("command", ["verify", "table"])
 def test_streamed_json_equals_one_dump(capsys, command):
     code, out, err = run_cli(capsys, command, "--n-max", "6", "--format", "json")

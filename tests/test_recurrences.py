@@ -120,6 +120,21 @@ def _cubic_from(n_from):
     return fault
 
 
+def _odd_words_at(n_at):
+    """A fault that adds 1 to the interior's words at n = ``n_at``."""
+
+    def fault(word_moments):
+        def faulty(n, half, words):
+            return word_moments(n, half, words + (n == n_at))
+
+        return faulty
+
+    return fault
+
+
+ODD_WORDS = "span x words over the interior of n = {} is odd before halving"
+
+
 def _adds(count, at=lambda i, j: True):
     """A fault that adds ``count`` to a glue at the splits (i, j) that ``at`` takes."""
     place = list(recurrences.COUNTS).index(count)
@@ -214,6 +229,11 @@ def test_the_glues_take_the_declared_counts_in_order():
         assert list(inspect.signature(glue).parameters) == ["i", "j", *recurrences.COUNTS]
 
 
+# faults that also change an edge split of a smaller n, where verify
+# meets them first as a mismatch: the n and statistic of the first
+FIRST_MISMATCH = {"P at j = 3": (6, "P"), "D at j = 4": (7, "D"), "D linear in left_d": (3, "D")}
+
+
 def _verify_rows_before(n, capsys):
     """The stdout of ``verify`` over 2 <= n' < n, or "" if that range is empty."""
     if n <= 2:
@@ -230,12 +250,21 @@ def test_a_glue_off_its_interior_form_is_refused(fault, monkeypatch, capsys):
     monkeypatch.setattr(recurrences, name, make_faulty(getattr(recurrences, name)))
     with pytest.raises(RuntimeError, match=message) as raised:
         gluing_totals(40)
-    complete = _verify_rows_before(int(re.search(r"of n = (\d+)", str(raised.value))[1]), capsys)
+    n = int(re.search(r"of n = (\d+)", str(raised.value))[1])
+    if fault in FIRST_MISMATCH:
+        n, statistic = FIRST_MISMATCH[fault]
+        message = rf"^first mismatch at n={n}, statistic={statistic} \(recurrence/closed\): "
+    complete = _verify_rows_before(n, capsys)
     code = cli.main(["verify", "--n-max", "40", "--modes", "recurrence,closed"])
     out, err = capsys.readouterr()
     assert code == 1
-    # the rows of every n before the failing one were written first
-    assert out == complete
+    # the rows of every n before the failing one were written first, and
+    # a mismatch's own n after them
+    assert out.startswith(complete)
+    rows_of_n = out.removeprefix(complete).splitlines()
+    assert [row.split(",")[0] for row in rows_of_n] == (
+        [str(n)] * len(recurrences.STATISTICS) if fault in FIRST_MISMATCH else []
+    )
     line = err.removesuffix("\n")
     assert line.startswith("FAIL: ") and "\n" not in line
     assert re.match(message, line.removeprefix("FAIL: "))
@@ -267,25 +296,30 @@ def test_matches_the_literal_pass_without_fork(monkeypatch):
     assert gluing_totals(150) == literal_gluing_totals(150)
 
 
-# two faults, one in each chain: the pass reports the one that a single
-# pass over all five statistics meets first, at the smallest n and then
-# in STATISTICS order
+# two faults, one in the child's part of the pass and one in the
+# caller's: the pass reports the one met first, at the smallest n and
+# then in CHAINS order, the words first
 TWO_FAULTS = {
     "child's at a smaller n": (("_h_glue", 14), ("_descents", 12), "D", 12),
     "parent's at a smaller n": (("_internal_min", 11), ("_descents", 13), "J", 11),
     "child's at a smaller n, later in order": (("_h_glue", 13), ("_new_peaks", 11), "P", 11),
-    "same n, D before J": (("_internal_min", 12), ("_descents", 12), "D", 12),
+    "same n, J before D": (("_internal_min", 12), ("_descents", 12), "J", 12),
+    "same n, D before P": (("_descents", 12), ("_new_peaks", 12), "D", 12),
     "same n, J before P": (("_internal_min", 12), ("_new_peaks", 12), "J", 12),
     "same n, Q4 before D": (("_q4_shift", 12), ("_descents", 12), "Q4", 12),
+    "same n, the words before H": (("_h_glue", 12), ("_word_moments", 12), "words", 12),
 }
 
 
 @pytest.mark.parametrize("case", TWO_FAULTS)
 def test_the_first_fault_of_the_two_chains_is_reported(case, fork, monkeypatch):
     *faults, statistic, n = TWO_FAULTS[case]
-    for name, n_from in faults:
-        monkeypatch.setattr(recurrences, name, _cubic_from(n_from)(getattr(recurrences, name)))
+    for name, n_at in faults:
+        make_faulty = _odd_words_at if name == "_word_moments" else _cubic_from
+        monkeypatch.setattr(recurrences, name, make_faulty(n_at)(getattr(recurrences, name)))
     message = rf"^{statistic} glue weighs words by \d+ at split \(\d+, 3\) of n = {n}, "
+    if statistic == "words":
+        message = f"^{ODD_WORDS.format(n)}$"
     with pytest.raises(RuntimeError, match=message):
         gluing_totals(60)
     _assert_no_child_left()
@@ -319,6 +353,31 @@ def test_a_child_that_dies_fails_the_pass(how, ending, monkeypatch, capsys):
         gluing_totals(40)
     _assert_no_child_left()
     complete = _verify_rows_before(20, capsys)
+    code = cli.main(["verify", "--n-max", "40", "--modes", "recurrence,closed"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, complete, f"FAIL: {message}\n")
+    _assert_no_child_left()
+
+
+def test_the_parents_failed_check_is_not_lost_to_a_dying_child(monkeypatch):
+    # the caller fails H at n = 20 before it waits for the D and P that
+    # the child, raising at n = 20 too, never sends
+    monkeypatch.setattr(recurrences, "_h_glue", _cubic_from(20)(recurrences._h_glue))
+    dying = _dying_in_the_child("raising", n_from=20)
+    monkeypatch.setattr(recurrences, "_descents", dying(recurrences._descents))
+    message = r"^H glue weighs words by \d+ at split \(\d+, 3\) of n = 20, "
+    with pytest.raises(RuntimeError, match=message):
+        gluing_totals(40)
+    _assert_no_child_left()
+
+
+def test_odd_words_are_refused(fork, monkeypatch, capsys):
+    monkeypatch.setattr(recurrences, "_word_moments", _odd_words_at(12)(recurrences._word_moments))
+    message = ODD_WORDS.format(12)
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        gluing_totals(40)
+    _assert_no_child_left()
+    complete = _verify_rows_before(12, capsys)
     code = cli.main(["verify", "--n-max", "40", "--modes", "recurrence,closed"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (1, complete, f"FAIL: {message}\n")
