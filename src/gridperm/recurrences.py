@@ -1,4 +1,4 @@
-"""Quadratic-time exact dynamic programs for the classwise totals.
+"""Exact dynamic programs for the classwise totals.
 
 Every member of Av_n(213) is a left block of size i, the minimum, and a
 right block of size j = n - 1 - i; the left block holds the largest
@@ -7,6 +7,9 @@ splits: what each block keeps of its own statistic in every word, plus
 what the gluing adds.  What the blocks keep of a total S is the
 Catalan convolution 2 sum_i C_{n-1-i} S_i, the 2 x C S term of the
 functional equations (1 - 2 x C) S = ... that HFE and Q4FE check.
+Each such convolution is summed online by ``_online_product``, a term
+per n, in Karatsuba blocks: O(n^1.59) big products up to n.  Only the
+words' half products, counted split by split, take O(n^2).
 
 What the gluing adds is stated once, as derived, in one small glue
 function per statistic, not algebraically simplified, so this route
@@ -52,7 +55,7 @@ from __future__ import annotations
 import marshal
 import os
 import sys
-from operator import mul
+from operator import add, mul
 
 STATISTICS = ("H", "Q4", "D", "J", "P")
 # the pass's two chains; Q4's blocks keep their totals less J, so Q4
@@ -67,6 +70,11 @@ UNHELD = "{} glue weighs {} {} of n = {}, which its chain does not count"
 # split of an n with fewer than MIN_INTERIOR splits between them
 EDGE = 3
 MIN_INTERIOR = 4
+# an online product sums its pairs with a factor's index below DIRECT
+# term by term, and multiplies the others in squares of side DIRECT and
+# up, by Karatsuba down to SCHOOLBOOK terms
+DIRECT = 32
+SCHOOLBOOK = 8
 
 
 def _h_glue(i: int, j: int, words: int, left_d: int, right_d: int) -> int:
@@ -214,7 +222,78 @@ def _words(n_max: int):
         yield n, cat[n], moments
 
 
-def _chain(statistics: tuple[str, ...]):
+def _karatsuba(a: list[int], b: list[int], limit: int) -> list[int]:
+    """The first ``limit`` coefficients of the product of sequences a and b.
+
+    a and b have one length, a power of two.  Down to ``SCHOOLBOOK``
+    terms the product is Karatsuba's: with a = a0 + x^h a1 and
+    b = b0 + x^h b1 it is a0 b0 + x^h ((a0 + a1)(b0 + b1) - a0 b0 - a1 b1)
+    + x^2h a1 b1, each half product itself cut off where the result is.
+    """
+    size = len(a)
+    if size <= SCHOOLBOOK:
+        # coefficient k is a's head against b's head reversed while
+        # k < size, then a's tail against all of b reversed
+        last, rb = size - 1, b[::-1]
+        product = [sum(map(mul, a, rb[last - k :])) for k in range(min(limit, size))]
+        for k in range(size, min(limit, 2 * size - 1)):
+            product.append(sum(map(mul, a[k - last :], rb)))
+        return product
+    half = size // 2
+    low = _karatsuba(a[:half], b[:half], limit)
+    if limit <= half:
+        return low
+    high = _karatsuba(a[half:], b[half:], limit - half)
+    mid = _karatsuba(
+        list(map(add, a[:half], a[half:])), list(map(add, b[:half], b[half:])), limit - half
+    )
+    product = [*low, *[0] * (2 * half - len(low)), *high]
+    del product[limit:]
+    for k, (both, low_k, high_k) in enumerate(zip(mid, low, high), half):
+        product[k] += both - low_k - high_k
+    return product
+
+
+def _online_product(f: list[int], g: list[int], limit: int):
+    """The convolution h = f g of two growing sequences, a term at a time.
+
+    Returns ``term``: ``term(t)`` is h_t = sum_i f_i g_(t-i), called for
+    t = 0, 1, ... < ``limit`` in turn once f[t] and g[t] are known.  f
+    and g are read where they are, the caller's own lists, not copied.
+    The pairs (i, j) with i or j below ``DIRECT`` are summed when h_t is
+    due, as two short dot products.  Every other pair lies in one square
+    of side b, a power of two: i in [b, 2b) and j in [l, l + b) with
+    l >= 2b a multiple of b, its transpose, or i and j in [b, 2b).  A
+    square is multiplied by ``_karatsuba`` as soon as its last term is
+    known, and added, cut off at ``limit``, into the sums of the later
+    terms it feeds, each of which is dropped once read.  So it holds
+    nothing for the terms it has not reached, whatever ``limit`` is.
+    """
+    later = {}  # the finished squares' sums, by the term they feed
+
+    def term(t: int) -> int:
+        small = min(t + 1, DIRECT)
+        total = later.pop(t, 0) + sum(map(mul, f[:small], reversed(g[t + 1 - small : t + 1])))
+        if t >= DIRECT:
+            small = min(t + 1 - DIRECT, DIRECT)
+            total += sum(map(mul, g[:small], reversed(f[t + 1 - small : t + 1])))
+        # the squares whose last term is t: side b divides t + 1 >= 2b
+        end, side = t + 1, DIRECT
+        while end % side == 0 and 2 * side <= end < limit:
+            other = end - side
+            for i, j in [(side, side)] if other == side else [(side, other), (other, side)]:
+                # the square's product is freed before the next is formed
+                for k, coefficient in enumerate(
+                    _karatsuba(f[i : i + side], g[j : j + side], limit - end), end
+                ):
+                    later[k] = later.get(k, 0) + coefficient
+            side *= 2
+        return total
+
+    return term
+
+
+def _chain(statistics: tuple[str, ...], n_max: int):
     """One chain of the pass, as a step over the words of n = 1, 2, ...
 
     ``step(n, catalan, moments)`` takes a record of ``_words`` and
@@ -224,17 +303,27 @@ def _chain(statistics: tuple[str, ...]):
     The chain holds C, grown by each record's C_n, and those of its
     statistics that ``COUNTS`` reads.  On the interior it takes the
     words' moments from the record and any other count's total from one
-    convolution per mirror pair.  A count it does not hold must weigh 0.
+    online product per mirror pair, read at each n up to ``n_max``.  A
+    count it does not hold must weigh 0.
     """
     glues = dict(zip(STATISTICS, (_h_glue, _q4_shift, _descents, _internal_min, _new_peaks)))
     read = {name for pair in COUNTS.values() for name in pair}
     seqs = {"C": [1], **{name: [0] for name in statistics if name in read}}
     held = {count: pair for count, pair in COUNTS.items() if seqs.keys() >= set(pair)}
     unheld = [(count, unit) for count, unit in UNITS.items() if count not in held]
+    # a count and its mirror have one interior total, as the interior is
+    # its own mirror; the words' comes with the record
+    products = {}
+    for pair in held.values():
+        if pair != ("C", "C") and pair[::-1] not in products:
+            products[pair] = _online_product(*(seqs[name] for name in pair), n_max)
     # every word keeps both blocks' own edges, degree-4 vertices (less
     # one at an internal block minimum) and peaks: summed over all
     # splits, sum_i (C_j S_i + C_i S_j) = 2 sum_i C_j S_i
     kept = {name: [0] for name in ("H", "Q4", "P") if name in statistics}
+    kept_products = {
+        name: _online_product(seqs["C"], history, n_max) for name, history in kept.items()
+    }
 
     def step(n, catalan, moments):
         edges = (*range(EDGE), *range(n - EDGE, n)) if moments else range(n)
@@ -243,13 +332,14 @@ def _chain(statistics: tuple[str, ...]):
                              for count, (a, b) in COUNTS.items()))
             for i in edges
         ]
+        wholes = {pair: term(n - 1) for pair, term in products.items()}
         if moments:
-            # a count and its mirror have one interior total: the interior is its own mirror
             moments = {("C", "C"): moments}
-            for pair in held.values():
-                if pair not in moments:
-                    left, right = (seqs[name][EDGE : n - EDGE] for name in pair)
-                    moments[pair] = moments[pair[::-1]] = (sum(map(mul, left, reversed(right))),)
+            for pair, whole in wholes.items():
+                left, right = (seqs[name] for name in pair)
+                # the whole convolution at n - 1 less its edge splits
+                edge = sum(left[i] * right[n - 1 - i] for i in edges)
+                moments[pair] = moments[pair[::-1]] = (whole - edge,)
         totals = {}
         for name in statistics:
             glue = glues[name]
@@ -261,7 +351,7 @@ def _chain(statistics: tuple[str, ...]):
             if moments:
                 total += _interior_glue(name, glue, n, moments)
             if name in kept:
-                total += 2 * sum(map(mul, reversed(seqs["C"]), kept[name]))
+                total += 2 * kept_products[name](n - 1)
             totals[name] = total
         for name, seq in seqs.items():
             seq.append(totals.get(name, catalan))  # C is no statistic
@@ -342,7 +432,7 @@ def gluing_stream(n_max: int):
     if n_max < 0:
         raise ValueError(f"n_max={n_max} is negative")
     yield dict.fromkeys(STATISTICS, 0)
-    ours, theirs = map(_chain, CHAINS)
+    ours, theirs = (_chain(chain, n_max) for chain in CHAINS)
     pid = pipe = None
     if hasattr(os, "fork"):
         read_end, write_end = os.pipe()

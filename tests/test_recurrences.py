@@ -4,11 +4,14 @@ import errno
 import inspect
 import math
 import os
+import random
 import re
 import signal
 import subprocess
 import sys
 import time
+import tracemalloc
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -103,10 +106,52 @@ def test_negative_n_max_is_refused():
 
 
 # n = 9 is the last n summed wholly split by split, and n = 10 the
-# first with an interior read off the glue functions
-@pytest.mark.parametrize("m", [*range(13), 150])
+# first with an interior read off the glue functions; m = 300 reaches
+# the online products' squares of side 128, which feed t >= 256
+@pytest.mark.parametrize("m", [*range(13), 150, 300])
 def test_matches_the_literal_pass(m):
     assert gluing_totals(m) == literal_gluing_totals(m)
+
+
+@pytest.mark.parametrize("size", [2**k for k in range(9)])
+def test_karatsuba_matches_the_schoolbook_product_at_every_limit(size):
+    rng = random.Random(size)
+    a, b = ([rng.getrandbits(64) for _ in range(size)] for _ in "ab")
+    product = [
+        sum(a[i] * b[k - i] for i in range(max(0, k - size + 1), min(k, size - 1) + 1))
+        for k in range(2 * size - 1)
+    ]
+    for limit in range(2 * size + 1):
+        assert recurrences._karatsuba(a, b, limit) == product[:limit]
+
+
+# the sizes cross the first square (t = 63), squares of every side up to
+# 512, and the cut-off of the last squares' products at the size
+@pytest.mark.parametrize(
+    "size", [0, 1, 62, 63, 64, 65, 127, 128, 129, 255, 256, 257, 600, 1100]
+)
+def test_the_online_product_matches_a_literal_sum(size):
+    rng = random.Random(size)
+    terms_f, terms_g = ([rng.getrandbits(200) for _ in range(size)] for _ in "fg")
+    # the product reads the caller's lists as they grow, a term per call
+    f, g = [], []
+    term = recurrences._online_product(f, g, size)
+    for t in range(size):
+        f.append(terms_f[t])
+        g.append(terms_g[t])
+        assert term(t) == sum(map(mul, terms_f[: t + 1], reversed(terms_g[: t + 1]))), t
+
+
+def test_the_online_product_holds_nothing_for_terms_not_reached():
+    # the pass streams up to any n_max, so its products are not sized by it
+    tracemalloc.start()
+    try:
+        term = recurrences._online_product([1], [1], 10**7)
+        assert term(0) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def _cubic_from(n_from):
