@@ -6,15 +6,19 @@ at its final values.  Every block of at most ``SHORT_BLOCK`` = 7 values
 (C_7 = 429 words) is built once per stream and kept in a dict keyed by
 its size and lowest value, which ``enumerate_av213`` creates and the
 stream alone holds: 4,683 tuples at the cap n = 14.  A word leaves
-through C iterators (one ``map`` per left block over its right blocks),
-not through a generator frame per level of its blocks.  The brute
-aggregate adds one histogram per member into running integer totals.
+through C iterators, not through a generator frame per level of its
+blocks, and is built only where a short block is read: each level hands
+its fixed values down as a prefix and a suffix, so a word takes at most
+two concatenations, ``prefix + word + suffix``, whatever its depth.  The
+brute aggregate adds one histogram per member into running integer
+totals.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain
+from itertools import chain, repeat
+from operator import add
 
 from .grid_graph import degree_histogram
 
@@ -40,32 +44,58 @@ CSV_FIELDS = (
 )
 
 
-def _splits(n: int, low: int, blocks: dict) -> Iterator[Iterator[tuple[int, ...]]]:
-    # Av_n(213) on the values low..low+n-1 as alpha low beta, alpha on the
-    # top i values; splits by increasing left-block size, blocks in
-    # recursive order; the order is part of the contract (reproducible streams).
-    # One map per left block glues it to each of its right blocks.
-    for i in range(n):
-        j = n - 1 - i
-        right = _block(j, low + 1, blocks) if j <= SHORT_BLOCK else None
-        for alpha in _generate(i, low + j + 1, blocks):
-            # a long right block is streamed again for each left block
-            yield map((alpha + (low,)).__add__, right or _generate(j, low + 1, blocks))
+def _splits(
+    n: int, low: int, blocks: dict, prefix: tuple[int, ...], suffix: tuple[int, ...]
+) -> Iterator[Iterator[tuple[int, ...]]]:
+    # Av_n(213) on the values low..low+n-1 as alpha low beta, beta on the
+    # j values above low and alpha on the n - 1 - j above those; splits by
+    # decreasing j (increasing left-block size), blocks in recursive order;
+    # the order is part of the contract (reproducible streams).  Each word
+    # leaves as prefix + word + suffix, built only where a short block is
+    # read: a right block of one word (j <= 1) joins the suffix of its left
+    # blocks' stream, a long right block is streamed again for each left
+    # block, which joins its prefix, and a short right block is glued to
+    # each left block by one map, with a second for a nonempty suffix.
+    for j in reversed(range(n)):
+        if j > SHORT_BLOCK:
+            for alpha in _generate(n - 1 - j, low + j + 1, blocks, prefix):
+                yield _generate(j, low + 1, blocks, alpha + (low,), suffix)
+            continue
+        right = _block(j, low + 1, blocks)
+        if j <= 1:
+            yield _generate(n - 1 - j, low + j + 1, blocks, prefix, (low,) + right[0] + suffix)
+            continue
+        for alpha in _generate(n - 1 - j, low + j + 1, blocks, prefix):
+            if suffix:
+                yield map(add, map((alpha + (low,)).__add__, right), repeat(suffix))
+            else:
+                yield map((alpha + (low,)).__add__, right)
 
 
 def _block(n: int, low: int, blocks: dict) -> tuple[tuple[int, ...], ...]:
     # every word of a short block, built at its first use in the stream
     words = blocks.get((n, low))
     if words is None:
-        words = tuple(chain.from_iterable(_splits(n, low, blocks))) if n else ((),)
+        words = tuple(chain.from_iterable(_splits(n, low, blocks, (), ()))) if n else ((),)
         blocks[n, low] = words
     return words
 
 
-def _generate(n: int, low: int, blocks: dict) -> Iterator[tuple[int, ...]]:
-    if n <= SHORT_BLOCK:
-        return iter(_block(n, low, blocks))
-    return chain.from_iterable(_splits(n, low, blocks))
+def _generate(
+    n: int, low: int, blocks: dict, prefix: tuple[int, ...] = (), suffix: tuple[int, ...] = ()
+) -> Iterator[tuple[int, ...]]:
+    # the words of Av_n(213) on low..low+n-1, each as prefix + word + suffix;
+    # a block of one word is framed at once, any other is read through maps
+    if n > SHORT_BLOCK:
+        return chain.from_iterable(_splits(n, low, blocks, prefix, suffix))
+    words = _block(n, low, blocks)
+    if n <= 1:
+        return iter((prefix + words[0] + suffix,))
+    if prefix:
+        words = map(prefix.__add__, words)
+    if suffix:
+        words = map(add, words, repeat(suffix))
+    return iter(words)
 
 
 def enumerate_av213(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:

@@ -31,7 +31,7 @@ from gridperm import (
     enumerate_av213,
     gluing_totals,
 )
-from gridperm.enumeration import CSV_FIELDS
+from gridperm.enumeration import CSV_FIELDS, _generate
 
 CATALAN = catalan_by_convolution(15)
 
@@ -104,6 +104,24 @@ def composed_stream(n):
 @pytest.mark.parametrize("n", range(11))
 def test_enumeration_order_matches_composed_reference(n):
     assert list(enumerate_av213(n)) == list(composed_stream(n))
+
+
+FRAMES = [((), ()), ((99,), ()), ((), (0, 98)), ((97, 96), (0,))]
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_generate_frames_the_shifted_composed_stream(n):
+    # n = 9 is the first n with a long right block (j = 8 > SHORT_BLOCK)
+    for low in (1, 2, 6):
+        shifted = [tuple(value + low - 1 for value in word) for word in composed_stream(n)]
+        plain = {}
+        assert list(_generate(n, low, plain)) == shifted
+        for prefix, suffix in FRAMES:
+            blocks = {}
+            framed = list(_generate(n, low, blocks, prefix, suffix))
+            assert framed == [prefix + word + suffix for word in shifted]
+            # the cached blocks hold the words alone, never a framed copy
+            assert blocks == plain
 
 
 def test_enumeration_order_is_pinned_at_n_12():
