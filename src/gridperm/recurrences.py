@@ -4,7 +4,8 @@ Every member of Av_n(213) is a left block of size i, the minimum, and a
 right block of size j = n - 1 - i; the left block holds the largest
 values.  Each total sums a per-split gluing increment over those
 splits: what each block keeps of its own statistic in every word, plus
-what the gluing adds.  What the blocks keep of a total S is the
+what the gluing adds.  ``KEPT`` declares what the blocks keep, beside
+the ``COUNTS`` the glues take.  What they keep of a total S is the
 Catalan convolution 2 sum_i C_{n-1-i} S_i, the 2 x C S term of the
 functional equations (1 - 2 x C) S = ... that HFE and Q4FE check.
 Each such convolution is summed online by ``_online_product``, a term
@@ -39,15 +40,13 @@ CPUs.  Per n the child sends two messages down a pipe, each a
 of n, then its D and P.  So the caller sums H, Q4 and J of n while the
 child sums D and P of n, and the caller's rows of n are written while
 the child counts n + 1.  Without ``os.fork`` the caller reads the same
-messages straight from the generator the child sends them from.  Every
-check raises RuntimeError where it fails; the child sends the message
-of its failed check in place of the message it stops, and the caller
-raises it.  So within one n both transports report in ``CHAINS``
-order: the words, then H, Q4 and J, then D and P.  The child's whole
-life, from the fork to its ``os._exit`` and its reaping, reads top to
-bottom in :func:`gluing_stream`.  The caller's own peak RSS
-(RUSAGE_SELF, which the benchmark's ``peak_rss_mb`` reads) does not
-count the child's.
+messages straight from the generator the child sends them from,
+``_theirs``.  Every check raises RuntimeError where it fails; the
+child sends the message of its failed check in place of the message it
+stops, and the caller raises it.  So within one n both transports
+report in ``CHAINS`` order: the words, then H, Q4 and J, then D and P.
+The child's whole life, from the fork to its ``os._exit`` and its
+reaping, reads top to bottom in :func:`gluing_stream`.
 """
 
 from __future__ import annotations
@@ -58,12 +57,20 @@ import sys
 from operator import add, mul
 
 STATISTICS = ("H", "Q4", "D", "J", "P")
-# the pass's two chains; Q4's blocks keep their totals less J, so Q4
-# and J share one
+# each statistic's glue function, by its name in this module, where a
+# chain looks it up when it starts
+GLUES = dict(zip(STATISTICS, ("_h_glue", "_q4_shift", "_descents", "_internal_min", "_new_peaks")))
+# the pass's two chains; a statistic shares one with what its blocks
+# keep less, in KEPT
 CHAINS = (("H", "Q4", "J"), ("D", "P"))
 # the counts a glue takes, in order, each the left block's sequence at
 # i times the right block's at j; UNITS sets one count to 1
 COUNTS = {"words": ("C", "C"), "left_d": ("D", "C"), "right_d": ("C", "D")}
+# what the blocks keep in every word, by statistic: the block's own
+# total less those named.  Each word keeps both blocks' own edges,
+# degree-4 vertices (less one at an internal block minimum) and peaks;
+# D and J are each one fact of the whole word, which the glue decides
+KEPT = {"H": (), "Q4": ("J",), "P": ()}
 UNITS = {count: tuple(int(other == count) for other in COUNTS) for count in COUNTS}
 UNHELD = "{} glue weighs {} {} of n = {}, which its chain does not count"
 # splits with i < EDGE or j < EDGE are summed literally; so is every
@@ -301,29 +308,27 @@ def _chain(statistics: tuple[str, ...], n_max: int):
     check raises RuntimeError.
 
     The chain holds C, grown by each record's C_n, and those of its
-    statistics that ``COUNTS`` reads.  On the interior it takes the
-    words' moments from the record and any other count's total from one
-    online product per mirror pair, read at each n up to ``n_max``.  A
-    count it does not hold must weigh 0.
+    statistics that ``COUNTS`` reads; a count it does not hold must
+    weigh 0.  It also holds what the blocks keep of each statistic in
+    ``KEPT``.  Its online products, each read once per n up to
+    ``n_max``, are one per convolution it reads: every kept total
+    against C, and every held count but the words, whose moments come
+    with the record.  A count and its mirror share one, as the interior
+    is its own mirror; the interior's total is the whole convolution
+    less the edge splits' counts.
     """
-    glues = dict(zip(STATISTICS, (_h_glue, _q4_shift, _descents, _internal_min, _new_peaks)))
+    glues = {name: globals()[GLUES[name]] for name in statistics}
     read = {name for pair in COUNTS.values() for name in pair}
     seqs = {"C": [1], **{name: [0] for name in statistics if name in read}}
     held = {count: pair for count, pair in COUNTS.items() if seqs.keys() >= set(pair)}
     unheld = [(count, unit) for count, unit in UNITS.items() if count not in held]
-    # a count and its mirror have one interior total, as the interior is
-    # its own mirror; the words' comes with the record
-    products = {}
+    kept = {name: [0] for name in statistics if name in KEPT}
+    # summed over all splits, what both blocks keep of S is
+    # sum_i (C_j S_i + C_i S_j) = 2 sum_i C_j S_i
+    products = {name: _online_product(seqs["C"], history, n_max) for name, history in kept.items()}
     for pair in held.values():
         if pair != ("C", "C") and pair[::-1] not in products:
             products[pair] = _online_product(*(seqs[name] for name in pair), n_max)
-    # every word keeps both blocks' own edges, degree-4 vertices (less
-    # one at an internal block minimum) and peaks: summed over all
-    # splits, sum_i (C_j S_i + C_i S_j) = 2 sum_i C_j S_i
-    kept = {name: [0] for name in ("H", "Q4", "P") if name in statistics}
-    kept_products = {
-        name: _online_product(seqs["C"], history, n_max) for name, history in kept.items()
-    }
 
     def step(n, catalan, moments):
         edges = (*range(EDGE), *range(n - EDGE, n)) if moments else range(n)
@@ -332,17 +337,15 @@ def _chain(statistics: tuple[str, ...], n_max: int):
                              for count, (a, b) in COUNTS.items()))
             for i in edges
         ]
-        wholes = {pair: term(n - 1) for pair, term in products.items()}
+        terms = {key: term(n - 1) for key, term in products.items()}
         if moments:
             moments = {("C", "C"): moments}
-            for pair, whole in wholes.items():
-                left, right = (seqs[name] for name in pair)
-                # the whole convolution at n - 1 less its edge splits
-                edge = sum(left[i] * right[n - 1 - i] for i in edges)
-                moments[pair] = moments[pair[::-1]] = (whole - edge,)
+            for place, pair in enumerate(COUNTS.values(), 2):
+                if pair in terms:
+                    interior = terms[pair] - sum(split[place] for split in splits)
+                    moments[pair] = moments[pair[::-1]] = (interior,)
         totals = {}
-        for name in statistics:
-            glue = glues[name]
+        for name, glue in glues.items():
             for count, unit in unheld:
                 for i, j, *_ in splits:
                     if glue(i, j, *unit):
@@ -350,13 +353,11 @@ def _chain(statistics: tuple[str, ...], n_max: int):
             total = sum(glue(*split) for split in splits)
             if moments:
                 total += _interior_glue(name, glue, n, moments)
-            if name in kept:
-                total += 2 * kept_products[name](n - 1)
-            totals[name] = total
+            totals[name] = total + 2 * terms.get(name, 0)
         for name, seq in seqs.items():
             seq.append(totals.get(name, catalan))  # C is no statistic
         for name, history in kept.items():
-            history.append(totals[name] - totals["J"] if name == "Q4" else totals[name])
+            history.append(totals[name] - sum(totals[less] for less in KEPT[name]))
         return totals
 
     return step
@@ -405,26 +406,20 @@ def gluing_stream(n_max: int):
     words whose minimum sits strictly inside; P: internal-column degree-1
     vertices (internal peaks).
 
-    Each n sums every glue function over the edge splits literally and
-    over the interior splits as its Newton form, read off and checked
-    against the function itself, times the moments of the split's
-    counts: a glue that is not quadratic on the interior raises
-    RuntimeError at its n, after the totals of every earlier n were
-    yielded.  A negative ``n_max`` raises ValueError.
+    A negative ``n_max`` raises ValueError.  The first failed check, at
+    the least n and within it in ``CHAINS`` order, raises RuntimeError
+    at its n, after the totals of every earlier n were yielded; a glue
+    that is not quadratic on the interior fails one.
 
-    The words of each n are counted once, by ``_words``, and feed the
-    two ``CHAINS``.  Where ``os.fork`` exists, a child forked at the
-    first n counts the words and runs the D, P chain; per n it sends
-    down a pipe the words, then its D and P, each message as soon as it
-    is made, while this process runs H, Q4 and J on the words it reads.
-    Elsewhere this process reads the same messages from ``_theirs``.  A
-    failed fork closes the pipe and raises the fork's own error.  Either
-    way the first failed check, at the least n and within it in
-    ``CHAINS`` order, raises RuntimeError.  A child that ends before it
-    sends what its n needs, say by a signal, raises RuntimeError naming
-    how it ended.  Once the stream ends, however it ends, closed early
-    included, the child is killed unless it was reaped already, and
-    reaped; this process's peak RSS does not count the child's.
+    Where ``os.fork`` exists, a child is forked at the first n; it
+    counts the words and runs the D, P chain, and this process runs H,
+    Q4 and J on the words it reads from the child.  Elsewhere this
+    process runs both chains.  A failed fork closes the pipe and raises
+    the fork's own error.  A child that ends before it sends what its n
+    needs, say by a signal, raises RuntimeError naming how it ended.
+    Once the stream ends, however it ends, closed early included, the
+    child is killed unless it was reaped already, and reaped; this
+    process's peak RSS does not count the child's.
 
     >>> [totals["H"] for totals in gluing_stream(5)]
     [0, 0, 2, 14, 76, 374]

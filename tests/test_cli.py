@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from gridperm import cli, closed_forms, recurrences, series
+from gridperm import cli, closed_forms, recurrences, sampler, series
 from gridperm.cli import main
 
 
@@ -282,11 +282,15 @@ def test_a_mismatch_ends_verify_after_the_rows_of_its_n(capsys, monkeypatch, fmt
     assert out == through.replace(*unequal)
 
 
-@pytest.mark.parametrize("command", ["verify", "table"])
+@pytest.mark.parametrize("command", ["verify", "table", "series-check"])
 def test_streamed_json_equals_one_dump(capsys, command):
-    code, out, err = run_cli(capsys, command, "--n-max", "6", "--format", "json")
+    # series-check takes an order, and each passing row of it holds a null
+    limit = ("--order", "16") if command == "series-check" else ("--n-max", "6")
+    code, out, err = run_cli(capsys, command, *limit, "--format", "json")
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    if command == "series-check":
+        assert [row["first_nonzero"] for row in json.loads(out)] == [None] * 5
 
 
 def test_emit_without_rows(capsys):
@@ -503,6 +507,8 @@ def test_sample_csv(capsys):
     assert code == 0
     rows = parse_csv(out)
     assert len(rows) == 1 and rows[0]["n"] == "5"
+    # the one CLI field with commas, read back through its quotes
+    assert rows[0]["generator"] == sampler.GENERATOR_NAME
 
 
 def test_degrees(capsys):

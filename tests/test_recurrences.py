@@ -272,6 +272,16 @@ def test_the_glues_take_the_declared_counts_in_order():
     assert len(glues) == len(recurrences.STATISTICS)
     for glue in glues:
         assert list(inspect.signature(glue).parameters) == ["i", "j", *recurrences.COUNTS]
+    assert list(recurrences.GLUES) == list(recurrences.STATISTICS)
+    assert sorted(recurrences.GLUES.values()) == sorted(glue.__name__ for glue in glues)
+
+
+def test_what_blocks_keep_is_declared_within_one_chain():
+    # a chain grows what the blocks keep from its own totals of each n,
+    # so a kept statistic lies in one chain with what it subtracts
+    for name, less in recurrences.KEPT.items():
+        assert {name, *less} <= set(recurrences.STATISTICS)
+        assert len([chain for chain in recurrences.CHAINS if {name, *less} <= set(chain)]) == 1
 
 
 # faults that also change an edge split of a smaller n, where verify
